@@ -30,14 +30,20 @@ class CapExceededError(RuntimeError):
 
 def _resolve_cap(cap: int | None) -> int:
     if cap is not None:
+        if cap < 0:
+            raise ValueError(f"cap must be a nonnegative integer, got {cap}")
         return cap
     env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_ENUMERATION_CAP
+    if env is None:
+        return DEFAULT_ENUMERATION_CAP
+    bad = ValueError(f"{CAP_ENV_VAR} must be a nonnegative integer, got {env!r}")
+    try:
+        limit = int(env)
+    except ValueError:
+        raise bad from None
+    if limit < 0:
+        raise bad
+    return limit
 
 
 def _check_cap(g: WeightedOrientedGraph, cap: int | None) -> None:

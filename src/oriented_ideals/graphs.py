@@ -175,13 +175,24 @@ class WeightedOrientedGraph:
             raw_edges = list(data["edges"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"graph object needs vertices and edges: {exc}") from None
+        for v in vertices:
+            if not isinstance(v, str):
+                raise ValueError(f"vertex names must be strings, got {v!r}")
         edges = []
         for e in raw_edges:
-            e = list(e)
-            if len(e) != 2:
-                raise ValueError(f"edge {e!r} must be a [tail, head] pair")
+            if not (
+                isinstance(e, (list, tuple))
+                and len(e) == 2
+                and all(isinstance(v, str) for v in e)
+            ):
+                raise ValueError(f"edge {e!r} must be a [tail, head] pair of names")
             edges.append((e[0], e[1]))
-        weights = dict(data.get("weights") or {})
+        weights = data.get("weights") or {}
+        if not isinstance(weights, Mapping):
+            raise ValueError(f"weights must map vertex names to integers, got {weights!r}")
+        for v, w in weights.items():
+            if not isinstance(w, int) or isinstance(w, bool):
+                raise ValueError(f"weight of {v!r} must be an integer, got {w!r}")
         missing = [v for v in vertices if v not in weights]
         if missing:
             warnings.warn(

@@ -7,11 +7,35 @@ given as an ordered tuple of variable names, and is always kept in
 canonical form: the unique minimal generating set, sorted by total degree
 and then lexicographically in the ambient variable order.  Everything is
 exact integer arithmetic; there are no coefficients anywhere.
+
+An ideal stores its generators as exponent rows, one tuple of ints per
+generator in ambient order.  Ideal operations work on packed rows instead
+(the packed exponent vectors of Monagan and Pearce): each row becomes one
+Python int with one field of W bits per variable, variable 0 in the most
+significant field.  A field is ``vbits`` value bits topped by a guard bit
+that stays clear in every packed row.
+
+W is worked out per operation, never set: ``vbits`` is the bit length of
+n * e, where n is the ambient size and e the largest exponent the result
+can hold (the operands' largest exponent, or the sum of both operands'
+largest exponents for a product).  So a field never overflows, packed
+addition is exponent addition, and the sum of all fields, which is the
+total degree, is below 2**W - 1.  Since 2**W is 1 modulo 2**W - 1, the
+degree of a packed row x is ``x % (2**W - 1)``, and the graded-lex order
+is the order of ``(x % (2**W - 1), -x)``.
+
+With H the mask of all guard bits, k divides x exactly when
+``((x | H) - k) & H == H``: each field computes 2**vbits + x_i - k_i,
+which keeps its guard bit iff x_i >= k_i and never borrows from the next
+field.  The same guard bits give a per-field mask of where x_i >= k_i,
+from which the lcm of two rows is assembled without unpacking.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain
+from operator import lshift
 
 
 class Monomial:
@@ -132,39 +156,61 @@ class Monomial:
         return self._hash
 
 
-def _row_key(row: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    # graded lex: total degree first, then bigger exponent on an earlier
-    # variable sorts first
-    return (sum(row), tuple(-e for e in row))
+def _max_exponent(rows: Iterable[tuple[int, ...]]) -> int:
+    return max(chain.from_iterable(rows), default=0)
 
 
-def _row_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+class _Layout:
+    """Packing of n-variable rows whose exponents are at most maxexp."""
+
+    __slots__ = ("vbits", "shifts", "guard", "mask", "modulus")
+
+    def __init__(self, n: int, maxexp: int):
+        vbits = max(n * maxexp, 1).bit_length()
+        width = vbits + 1
+        self.vbits = vbits
+        self.shifts = [width * (n - 1 - i) for i in range(n)]
+        self.guard = sum(1 << (s + vbits) for s in self.shifts)
+        self.mask = (1 << vbits) - 1
+        self.modulus = (1 << width) - 1
+
+    def pack(self, rows: Iterable[tuple[int, ...]]) -> list[int]:
+        shifts = self.shifts
+        return [sum(map(lshift, row, shifts)) for row in rows]
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        return tuple(map(self.mask.__and__, map(x.__rshift__, self.shifts)))
+
+    def minimal(self, packed: set[int]) -> tuple[tuple[int, ...], ...]:
+        """Rows of the minimal elements of packed, unpacked and sorted graded-lex."""
+        modulus = self.modulus
+        guard = self.guard
+        smaller: list[int] = []  # kept rows of strictly smaller degree
+        current: list[int] = []  # kept rows of the degree being scanned
+        degree = -1
+        for d, neg in sorted((x % modulus, -x) for x in packed):
+            if d != degree:
+                smaller += current
+                current = []
+                degree = d
+            if not _in_ideal(-neg, smaller, guard):
+                current.append(-neg)
+        smaller += current
+        return tuple(map(self.unpack, smaller))
 
 
-def _minimal_rows(rows: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Discard rows divisible by another row; result sorted graded-lex."""
-    uniq = sorted(set(rows), key=_row_key)
-    if not uniq:
-        return ()
-    if sum(uniq[0]) == 0:
-        # the identity divides everything: unit ideal
-        return (uniq[0],)
-    kept: list[tuple[int, ...]] = []
-    block_start = 0  # kept entries before this index have strictly smaller degree
-    current_degree = -1
-    for row in uniq:
-        d = sum(row)
-        if d != current_degree:
-            current_degree = d
-            block_start = len(kept)
-        smaller = kept[:block_start]
-        if not any(_row_divides(k, row) for k in smaller):
-            kept.append(row)
-    return tuple(kept)
+def _in_ideal(x: int, gens: Iterable[int], guard: int) -> bool:
+    """Some packed generator divides the packed row x."""
+    xg = x | guard
+    for k in gens:
+        if (xg - k) & guard == guard:
+            return True
+    return False
+
+
+def _canonical(n: int, rows: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    layout = _Layout(n, _max_exponent(rows))
+    return layout.minimal(set(layout.pack(rows)))
 
 
 class MonomialIdeal:
@@ -185,21 +231,14 @@ class MonomialIdeal:
         ambient = tuple(ambient)
         if len(set(ambient)) != len(ambient):
             raise ValueError("ambient variables must be distinct")
-        position = {v: i for i, v in enumerate(ambient)}
-        rows = []
-        for g in generators:
-            if isinstance(g, str):
-                g = Monomial.from_str(g)
-            row = [0] * len(ambient)
-            for v, e in g.items():
-                if v not in position:
-                    raise ValueError(f"generator {g} uses {v!r}, not an ambient variable")
-                row[position[v]] = e
-            rows.append(tuple(row))
         self._ambient = ambient
-        self._position = position
-        self._rows = _minimal_rows(rows)
-        self._gens = tuple(self._monomial(r) for r in self._rows)
+        self._position = {v: i for i, v in enumerate(ambient)}
+        rows = [
+            self._row(Monomial.from_str(g) if isinstance(g, str) else g)
+            for g in generators
+        ]
+        self._rows = _canonical(len(ambient), rows)
+        self._gens: tuple[Monomial, ...] | None = None
         self._hash: int | None = None
 
     @classmethod
@@ -210,16 +249,13 @@ class MonomialIdeal:
     def unit(cls, ambient: Sequence[str]) -> MonomialIdeal:
         return cls(ambient, (Monomial(),))
 
-    @classmethod
-    def _from_rows(
-        cls, ambient: tuple[str, ...], position: dict[str, int],
-        rows: Iterable[tuple[int, ...]],
-    ) -> MonomialIdeal:
-        ideal = cls.__new__(cls)
-        ideal._ambient = ambient
-        ideal._position = position
-        ideal._rows = _minimal_rows(rows)
-        ideal._gens = tuple(ideal._monomial(r) for r in ideal._rows)
+    def _with_rows(self, rows: tuple[tuple[int, ...], ...]) -> MonomialIdeal:
+        """An ideal over this ambient whose rows are already canonical."""
+        ideal = MonomialIdeal.__new__(MonomialIdeal)
+        ideal._ambient = self._ambient
+        ideal._position = self._position
+        ideal._rows = rows
+        ideal._gens = None
         ideal._hash = None
         return ideal
 
@@ -230,7 +266,7 @@ class MonomialIdeal:
         row = [0] * len(self._ambient)
         for v, e in m.items():
             if v not in self._position:
-                raise ValueError(f"{m} uses {v!r}, not an ambient variable")
+                raise ValueError(f"generator {m} uses {v!r}, not an ambient variable")
             row[self._position[v]] = e
         return tuple(row)
 
@@ -240,6 +276,8 @@ class MonomialIdeal:
 
     @property
     def generators(self) -> tuple[Monomial, ...]:
+        if self._gens is None:
+            self._gens = tuple(map(self._monomial, self._rows))
         return self._gens
 
     @property
@@ -251,7 +289,7 @@ class MonomialIdeal:
         return len(self._rows) == 1 and sum(self._rows[0]) == 0
 
     def generator_strings(self) -> list[str]:
-        return [g.format(self._ambient) for g in self._gens]
+        return [g.format(self._ambient) for g in self.generators]
 
     def _require_same_ambient(self, other: MonomialIdeal) -> None:
         if self._ambient != other._ambient:
@@ -259,16 +297,24 @@ class MonomialIdeal:
                 f"ambient mismatch: {self._ambient} vs {other._ambient}"
             )
 
+    def _contains_rows(self, rows: Sequence[tuple[int, ...]]) -> bool:
+        layout = _Layout(
+            len(self._ambient), max(_max_exponent(self._rows), _max_exponent(rows))
+        )
+        gens = layout.pack(self._rows)
+        return all(_in_ideal(x, gens, layout.guard) for x in layout.pack(rows))
+
     def contains(self, m: Monomial | str) -> bool:
         """Membership: some generator divides m."""
         if isinstance(m, str):
             m = Monomial.from_str(m)
-        return any(g.divides(m) for g in self._gens)
+        # variables outside the ambient cannot matter: no generator uses them
+        return self._contains_rows([tuple(m[v] for v in self._ambient)])
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
         """True iff other is a subideal of self."""
         self._require_same_ambient(other)
-        return all(self.contains(g) for g in other._gens)
+        return self._contains_rows(other._rows)
 
     def __le__(self, other: MonomialIdeal) -> bool:
         if not isinstance(other, MonomialIdeal):
@@ -279,20 +325,20 @@ class MonomialIdeal:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
         self._require_same_ambient(other)
-        return MonomialIdeal._from_rows(
-            self._ambient, self._position, self._rows + other._rows
-        )
+        rows = self._rows + other._rows
+        return self._with_rows(_canonical(len(self._ambient), rows))
 
     def __mul__(self, other: MonomialIdeal) -> MonomialIdeal:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
         self._require_same_ambient(other)
-        products = {
-            tuple(x + y for x, y in zip(a, b))
-            for a in self._rows
-            for b in other._rows
-        }
-        return MonomialIdeal._from_rows(self._ambient, self._position, products)
+        # fields must hold the sum of the largest exponents on each side
+        layout = _Layout(
+            len(self._ambient), _max_exponent(self._rows) + _max_exponent(other._rows)
+        )
+        theirs = layout.pack(other._rows)
+        products = {x + y for x in layout.pack(self._rows) for y in theirs}
+        return self._with_rows(layout.minimal(products))
 
     def __pow__(self, s: int) -> MonomialIdeal:
         """s-fold product, minimalizing after each step; s=0 gives the unit ideal."""
@@ -306,14 +352,40 @@ class MonomialIdeal:
         return result
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
-        """Pairwise-lcm intersection of two monomial ideals."""
+        """Intersection of two monomial ideals, generated by pairwise lcms.
+
+        A generator of one side that already lies in the other side is a
+        generator of the intersection, and every lcm it takes part in is
+        its multiple, so only the remaining generators are paired.
+        """
         self._require_same_ambient(other)
-        lcms = {
-            tuple(max(x, y) for x, y in zip(a, b))
-            for a in self._rows
-            for b in other._rows
-        }
-        return MonomialIdeal._from_rows(self._ambient, self._position, lcms)
+        layout = _Layout(
+            len(self._ambient),
+            max(_max_exponent(self._rows), _max_exponent(other._rows)),
+        )
+        guard, vbits = layout.guard, layout.vbits
+        mine = layout.pack(self._rows)
+        theirs = layout.pack(other._rows)
+        out: set[int] = set()
+        pair_mine = []
+        for x in mine:
+            if _in_ideal(x, theirs, guard):
+                out.add(x)
+            else:
+                pair_mine.append(x)
+        pair_theirs = []
+        for y in theirs:
+            if _in_ideal(y, mine, guard):
+                out.add(y)
+            else:
+                pair_theirs.append(y)
+        for x in pair_mine:
+            xg = x | guard
+            for y in pair_theirs:
+                t = (xg - y) & guard  # guard bits where x's field >= y's
+                m = t - (t >> vbits)  # ... widened to value-bit masks
+                out.add((x & m) | (y & ~m))
+        return self._with_rows(layout.minimal(out))
 
     def saturate(self, variables: Iterable[str]) -> MonomialIdeal:
         """Saturation with respect to the product of the given variables.
@@ -326,15 +398,17 @@ class MonomialIdeal:
             if v not in self._position:
                 raise ValueError(f"{v!r} is not an ambient variable")
             idx.add(self._position[v])
-        rows = (
-            tuple(0 if i in idx else e for i, e in enumerate(row))
-            for row in self._rows
+        layout = _Layout(len(self._ambient), _max_exponent(self._rows))
+        keep = sum(
+            layout.mask << s for i, s in enumerate(layout.shifts) if i not in idx
         )
-        return MonomialIdeal._from_rows(self._ambient, self._position, rows)
+        return self._with_rows(
+            layout.minimal({x & keep for x in layout.pack(self._rows)})
+        )
 
     def with_ambient(self, ambient: Sequence[str]) -> MonomialIdeal:
         """The same generators viewed in a different ambient ring."""
-        return MonomialIdeal(ambient, self._gens)
+        return MonomialIdeal(ambient, self.generators)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialIdeal):

@@ -71,3 +71,58 @@ def brute_force_member(
             if g * u == m:
                 return True
     return False
+
+
+# --- reference monomial-ideal kernel on exponent tuples ----------------------
+#
+# The library packs exponent rows into integers; these are the plain tuple
+# versions it replaced, kept as the reference for the differential tests.
+
+
+def _row_key(row: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    # graded lex: total degree first, then bigger exponent on an earlier
+    # variable sorts first
+    return (sum(row), tuple(-e for e in row))
+
+
+def row_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
+
+
+def reference_minimal_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Discard rows divisible by another row; result sorted graded-lex."""
+    uniq = sorted(set(rows), key=_row_key)
+    if not uniq:
+        return ()
+    if sum(uniq[0]) == 0:
+        # the identity divides everything: unit ideal
+        return (uniq[0],)
+    kept: list[tuple[int, ...]] = []
+    block_start = 0  # kept entries before this index have strictly smaller degree
+    current_degree = -1
+    for row in uniq:
+        d = sum(row)
+        if d != current_degree:
+            current_degree = d
+            block_start = len(kept)
+        smaller = kept[:block_start]
+        if not any(row_divides(k, row) for k in smaller):
+            kept.append(row)
+    return tuple(kept)
+
+
+def reference_product(a_rows, b_rows) -> tuple[tuple[int, ...], ...]:
+    """Canonical rows of the product: minimalized pairwise sums."""
+    return reference_minimal_rows(
+        tuple(x + y for x, y in zip(a, b)) for a in a_rows for b in b_rows
+    )
+
+
+def reference_intersection(a_rows, b_rows) -> tuple[tuple[int, ...], ...]:
+    """Canonical rows of the intersection: minimalized pairwise maxima (lcms)."""
+    return reference_minimal_rows(
+        tuple(max(x, y) for x, y in zip(a, b)) for a in a_rows for b in b_rows
+    )

@@ -163,6 +163,34 @@ def test_cap_exceeded_exit_code(graph_file, capsys, monkeypatch):
     assert CAP_ENV_VAR in err
 
 
+def test_negative_cap_is_input_error(graph_file, capsys, monkeypatch):
+    monkeypatch.setenv(CAP_ENV_VAR, "-1")
+    code, _, err = run(capsys, "covers", graph_file(LINE5))
+    assert code == 2
+    assert CAP_ENV_VAR in err
+
+
+BAD_TYPES = {
+    "float weight": {**LINE3, "weights": {"x1": 1, "x2": 2.0, "x3": 2}},
+    "bool weight": {**LINE3, "weights": {"x1": 1, "x2": True, "x3": 2}},
+    "integer vertex names": {"vertices": [1, 2], "edges": [[1, 2]], "weights": {}},
+    "list vertex name": {"vertices": [["a"]], "edges": [], "weights": {}},
+    "integer edge endpoint": {**LINE3, "edges": [["x1", 2]]},
+    "edge not a pair": {**LINE3, "edges": ["x1"]},
+    "weights not an object": {**LINE3, "weights": [1, 2, 2]},
+    "graph not an object": [1, 2, 3],
+}
+
+
+@pytest.mark.parametrize("command", [["covers"], ["decompose"], ["power", "--s", "2"]])
+@pytest.mark.parametrize("bad", sorted(BAD_TYPES))
+def test_badly_typed_graph_is_input_error(graph_file, capsys, command, bad):
+    code, _, err = run(capsys, command[0], graph_file(BAD_TYPES[bad]), *command[1:])
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_verify_needs_a_mode(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2

@@ -155,6 +155,18 @@ def test_enumeration_cap(monkeypatch):
     assert enumerate_strong_covers(g, cap=10)
 
 
+def test_negative_cap_rejected(monkeypatch):
+    g = oriented_line(4, (1, 1, 1, 1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_strong_covers(g, cap=-1)
+    monkeypatch.setenv(CAP_ENV_VAR, "-1")
+    with pytest.raises(ValueError, match=CAP_ENV_VAR):
+        enumerate_strong_covers(g)
+    monkeypatch.setenv(CAP_ENV_VAR, "many")
+    with pytest.raises(ValueError, match=CAP_ENV_VAR):
+        enumerate_strong_covers(g)
+
+
 def test_enumeration_matches_brute_force_random():
     rng = random.Random(901)
     for _ in range(40):

@@ -163,3 +163,11 @@ def test_json_shape_errors():
         WeightedOrientedGraph.from_json(
             {"vertices": ["a", "b"], "edges": [["a", "b", "c"]], "weights": {}}
         )
+    for bad in (
+        {"vertices": [1, 2], "edges": [[1, 2]], "weights": {}},
+        {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"a": 2.0}},
+        {"vertices": ["a", "b"], "edges": [["a", None]], "weights": {}},
+        {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": ["a"]},
+    ):
+        with pytest.raises(ValueError):
+            WeightedOrientedGraph.from_json(bad)

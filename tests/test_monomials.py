@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_member
+from conftest import (
+    brute_force_member,
+    reference_intersection,
+    reference_minimal_rows,
+    reference_product,
+    row_divides,
+)
 from oriented_ideals import Monomial, MonomialIdeal, intersect_all
 
 X5 = ("x1", "x2", "x3", "x4", "x5")
@@ -302,3 +308,57 @@ def test_membership_brute_force_spot_checks():
     for _ in range(40):
         probe = Monomial({v: rng.randint(0, 3) for v in X5})
         assert a.contains(probe) == brute_force_member(a.generators, probe, X5)
+
+
+# --- differential test against the tuple reference kernel -----------------
+
+# 0, 1, small, and wide exponents: the packed field width must adapt to all
+exponents = st.one_of(
+    st.sampled_from((0, 1)), st.integers(2, 5), st.integers(0, 2**70)
+)
+
+
+@st.composite
+def ambient_and_rows(draw):
+    """An ambient of 0 to 6 variables and two generator row lists over it."""
+    n = draw(st.integers(0, 6))
+    ambient = tuple(f"x{i}" for i in range(1, n + 1))
+    rows = st.one_of(
+        st.just([]),  # the zero ideal
+        st.just([(0,) * n]),  # the unit ideal
+        st.lists(st.tuples(*[exponents] * n), min_size=1, max_size=6),
+    )
+    return ambient, draw(rows), draw(rows)
+
+
+def from_rows(ambient, rows) -> MonomialIdeal:
+    return MonomialIdeal(ambient, [Monomial(zip(ambient, row)) for row in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ambient_and_rows(), st.integers(0, 3), st.data())
+def test_kernel_matches_tuple_reference(case, s, data):
+    ambient, a_rows, b_rows = case
+    a, b = from_rows(ambient, a_rows), from_rows(ambient, b_rows)
+    ra, rb = reference_minimal_rows(a_rows), reference_minimal_rows(b_rows)
+    assert a._rows == ra and b._rows == rb
+
+    assert (a * b)._rows == reference_product(ra, rb)
+    power = ((0,) * len(ambient),)
+    for _ in range(s):
+        power = reference_product(power, ra)
+    assert (a ** s)._rows == power
+    assert a.intersect(b)._rows == reference_intersection(ra, rb)
+    assert (a + b)._rows == reference_minimal_rows(ra + rb)
+
+    dropped = data.draw(st.sets(st.sampled_from(ambient)) if ambient else st.just(set()))
+    keep = [v not in dropped for v in ambient]
+    saturated = [tuple(e if k else 0 for e, k in zip(row, keep)) for row in ra]
+    assert a.saturate(dropped)._rows == reference_minimal_rows(saturated)
+
+    def covers(gens, row):
+        return any(row_divides(k, row) for k in gens)
+
+    assert a.contains_ideal(b) == all(covers(ra, row) for row in rb)
+    for row in rb:
+        assert a.contains(Monomial(zip(ambient, row))) == covers(ra, row)
