@@ -34,6 +34,7 @@ from .ideals import (
 from .monomials import Monomial, MonomialIdeal, intersect_all
 from .symbolic import (
     EqualityReport,
+    InvariantError,
     PowerComparison,
     compare_powers,
     q_sub_p,
@@ -61,6 +62,7 @@ __all__ = [
     "CheckResult",
     "CoverPartition",
     "EqualityReport",
+    "InvariantError",
     "IrreducibleComponent",
     "Monomial",
     "MonomialIdeal",

@@ -8,14 +8,20 @@ A vertex cover C splits into three layers:
 
 C is a strong cover when every L3 vertex receives an edge from an
 L2-or-L3 vertex of weight at least 2.  Minimal covers have empty L3, so
-they are always strong.  Enumeration is a plain scan over all vertex
-subsets, guarded by a cap on the vertex count.
+they are always strong.
+
+Enumeration is output-sensitive: the vertex covers are the complements of
+the independent sets, which a depth-first walk over per-vertex neighbor
+bitmasks lists once each, so the cost follows the number of covers rather
+than 2^n.  Each vertex cover then goes through the one strong-cover test,
+``is_strong_cover``.  The walk is guarded by a cap on the vertex count,
+since a graph can still have exponentially many covers.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .graphs import WeightedOrientedGraph
@@ -25,7 +31,7 @@ CAP_ENV_VAR = "ORIENTED_IDEAL_CAP"
 
 
 class CapExceededError(RuntimeError):
-    """Raised when a graph is too large for subset enumeration."""
+    """Raised when a graph is too large for cover enumeration."""
 
 
 def _resolve_cap(cap: int | None) -> int:
@@ -51,9 +57,9 @@ def _check_cap(g: WeightedOrientedGraph, cap: int | None) -> None:
     n = len(g.vertices)
     if n > limit:
         raise CapExceededError(
-            f"graph has {n} vertices but subset enumeration is capped at {limit}; "
+            f"graph has {n} vertices but cover enumeration is capped at {limit}; "
             f"raise the cap via the {CAP_ENV_VAR} environment variable or the cap "
-            "argument if you really want a 2^n scan"
+            "argument if you really want an exponential scan"
         )
 
 
@@ -77,10 +83,11 @@ class CoverPartition:
 
 def is_vertex_cover(g: WeightedOrientedGraph, cover: Iterable[str]) -> bool:
     """True iff every edge has an endpoint in the given set."""
-    cover = set(cover)
-    for v in cover:
-        g._check_vertex(v)
-    return all(t in cover or h in cover for t, h in g.edges)
+    cover = frozenset(cover)
+    unknown = cover.difference(g._position)
+    if unknown:
+        g._check_vertex(next(iter(unknown)))
+    return all(t in cover or h in cover for t, h in g._edges)
 
 
 def cover_partition(g: WeightedOrientedGraph, cover: Iterable[str]) -> CoverPartition:
@@ -92,9 +99,9 @@ def cover_partition(g: WeightedOrientedGraph, cover: Iterable[str]) -> CoverPart
     l2 = set()
     l3 = set()
     for v in cover:
-        if g.out_neighbors(v) - cover:
+        if not g._out[v] <= cover:
             l1.add(v)
-        elif g.in_neighbors(v) - cover:
+        elif not g._in[v] <= cover:
             l2.add(v)
         else:
             l3.add(v)
@@ -111,29 +118,60 @@ def is_strong_cover(g: WeightedOrientedGraph, cover: Iterable[str]) -> bool:
     if not is_vertex_cover(g, cover):
         return False
     parts = cover_partition(g, cover)
-    feeders = parts.l2 | parts.l3
-    for v in parts.l3:
-        if not any(u in feeders and g.weight(u) >= 2 for u in g.in_neighbors(v)):
-            return False
-    return True
+    feeders = cover - parts.l1
+    weights = g._weights
+    return all(
+        any(u in feeders and weights[u] >= 2 for u in g._in[v]) for v in parts.l3
+    )
 
 
-def _sorted_covers(
-    g: WeightedOrientedGraph, covers: Iterable[frozenset[str]]
-) -> list[frozenset[str]]:
-    def key(c: frozenset[str]) -> tuple[int, tuple[int, ...]]:
-        return (len(c), tuple(sorted(g.position(v) for v in c)))
+class _CoverMasks:
+    """Bitmask view of one graph, built once per scan.
 
-    return sorted(covers, key=key)
+    The first vertex takes the most significant bit, so among covers of
+    one size the larger mask comes first in the position order.
+    """
+
+    def __init__(self, g: WeightedOrientedGraph):
+        n = len(g.vertices)
+        self.full = (1 << n) - 1
+        self.bits = [1 << (n - 1 - i) for i in range(n)]
+        self.bit = dict(zip(g.vertices, self.bits))
+        self.nbr = [0] * n
+        for t, h in g.edges:
+            self.nbr[g._position[t]] |= self.bit[h]
+            self.nbr[g._position[h]] |= self.bit[t]
+
+    def vertex_covers(self) -> Iterator[tuple[int, int]]:
+        """Every vertex cover once, as (cover mask, closed neighborhood mask).
+
+        The covers are the complements of the independent sets, listed
+        depth-first over increasing positions: a stack entry holds the next
+        position to try, the set so far and the vertices it forbids, and
+        adding vertex j forbids j and its neighbors.  The forbidden mask is
+        then the set's closed neighborhood, which is the full mask exactly
+        when the set is a maximal independent set.
+        """
+        bits, nbr, full = self.bits, self.nbr, self.full
+        n = len(bits)
+        stack = [(0, 0, 0)]
+        while stack:
+            i, chosen, forbidden = stack.pop()
+            yield full ^ chosen, forbidden
+            for j in range(i, n):
+                if not forbidden & bits[j]:
+                    stack.append((j + 1, chosen | bits[j], forbidden | nbr[j] | bits[j]))
+
+    def cover(self, mask: int) -> frozenset[str]:
+        return frozenset([v for v, b in self.bit.items() if mask & b])
+
+    def mask(self, cover: Iterable[str]) -> int:
+        return sum(self.bit[v] for v in cover)
 
 
-def _all_covers(g: WeightedOrientedGraph) -> Iterable[frozenset[str]]:
-    vs = g.vertices
-    n = len(vs)
-    edge_idx = [(g.position(t), g.position(h)) for t, h in g.edges]
-    for bits in range(1 << n):
-        if all(bits >> i & 1 or bits >> j & 1 for i, j in edge_idx):
-            yield frozenset(vs[i] for i in range(n) if bits >> i & 1)
+def _sorted_covers(covers: Iterable[tuple[int, frozenset[str]]]) -> list[frozenset[str]]:
+    """The covers of (mask, cover) pairs, by size and then by vertex position."""
+    return [c for _, c in sorted(covers, key=lambda mc: (mc[0].bit_count(), -mc[0]))]
 
 
 def enumerate_strong_covers(
@@ -145,21 +183,32 @@ def enumerate_strong_covers(
     nonempty set would have an unfed L3 vertex).
     """
     _check_cap(g, cap)
-    return _sorted_covers(
-        g, (c for c in _all_covers(g) if is_strong_cover(g, c))
-    )
+    masks = _CoverMasks(g)
+    strong = []
+    for mask, _ in masks.vertex_covers():
+        cover = masks.cover(mask)
+        if is_strong_cover(g, cover):
+            strong.append((mask, cover))
+    return _sorted_covers(strong)
 
 
 def maximal_strong_covers(
     g: WeightedOrientedGraph, cap: int | None = None
 ) -> list[frozenset[str]]:
-    """The inclusion-maximal strong covers, in the same deterministic order."""
+    """The inclusion-maximal strong covers, in the same deterministic order.
+
+    Walking the strong covers largest first, a cover is maximal iff it lies
+    in no cover already kept: every strong cover lies in a maximal one, and
+    a larger cover is never inside a smaller one.
+    """
     strong = enumerate_strong_covers(g, cap)
-    maximal = [
-        c for c in strong
-        if not any(c < other for other in strong)
-    ]
-    return _sorted_covers(g, maximal)
+    masks = _CoverMasks(g)
+    kept: list[tuple[int, frozenset[str]]] = []
+    for cover in reversed(strong):
+        mask = masks.mask(cover)
+        if all(mask & ~other for other, _ in kept):
+            kept.append((mask, cover))
+    return [c for _, c in reversed(kept)]
 
 
 def minimal_vertex_covers(
@@ -168,11 +217,13 @@ def minimal_vertex_covers(
     """The inclusion-minimal vertex covers, sorted by size then position.
 
     A cover is minimal exactly when each of its vertices has a neighbor
-    outside the cover; for the edgeless graph that leaves the empty cover.
+    outside the cover, that is, when the independent set left outside is
+    maximal; for the edgeless graph that leaves the empty cover.
     """
     _check_cap(g, cap)
-    out = []
-    for c in _all_covers(g):
-        if all(g.neighbors(v) - c for v in c):
-            out.append(c)
-    return _sorted_covers(g, out)
+    masks = _CoverMasks(g)
+    return _sorted_covers(
+        (mask, masks.cover(mask))
+        for mask, closed in masks.vertex_covers()
+        if closed == masks.full
+    )

@@ -24,6 +24,10 @@ from .ideals import IrreducibleComponent, edge_ideal, irreducible_decomposition
 from .monomials import Monomial, MonomialIdeal, intersect_all
 
 
+class InvariantError(RuntimeError):
+    """Raised when a result breaks an invariant the theory guarantees."""
+
+
 def q_sub_p(
     components: Sequence[IrreducibleComponent], prime: frozenset[str]
 ) -> MonomialIdeal:
@@ -154,10 +158,10 @@ def compare_powers(
 ) -> EqualityReport:
     """Compare ordinary and symbolic powers for every s up to s_max.
 
-    The containment I^s inside the symbolic power always holds here and is
-    asserted outright; when the two differ, the witness is the first
-    minimal generator of the symbolic power (in canonical order) that
-    ordinary power membership rejects.
+    The containment I^s inside the symbolic power always holds here; a
+    result that breaks it raises InvariantError.  When the two differ, the
+    witness is the first minimal generator of the symbolic power (in
+    canonical order) that ordinary power membership rejects.
     """
     if not isinstance(s_max, int) or s_max < 1:
         raise ValueError(f"s_max must be an integer >= 1, got {s_max!r}")
@@ -179,7 +183,7 @@ def compare_powers(
         else:
             symbolic = intersect_all(list(running.values()), ambient=g.vertices)
         if not symbolic.contains_ideal(ordinary):
-            raise AssertionError(
+            raise InvariantError(
                 f"I^{s} is not inside the symbolic power; the computation is broken"
             )
         equal = ordinary == symbolic
@@ -190,7 +194,7 @@ def compare_powers(
                     witness = gen
                     break
             if witness is None:
-                raise AssertionError(
+                raise InvariantError(
                     "unequal ideals with no witness generator; impossible"
                 )
         rows.append(

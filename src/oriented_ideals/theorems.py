@@ -26,7 +26,12 @@ import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .covers import maximal_strong_covers
+from .covers import (
+    enumerate_strong_covers,
+    is_strong_cover,
+    maximal_strong_covers,
+    minimal_vertex_covers,
+)
 from .graphs import (
     WeightedOrientedGraph,
     forest_broom,
@@ -104,8 +109,6 @@ def check_full_cover_equality(
         return _skip(name, instance, "needs every weight >= 2")
     if any(g.is_isolated(v) for v in g.vertices):
         return _skip(name, instance, "isolated vertices are outside the statement")
-
-    from .covers import is_strong_cover
 
     full_strong = is_strong_cover(g, g.vertices)
     no_sources = not g.sources()
@@ -190,8 +193,6 @@ def check_broom_equality(
     ambient = broom.vertices
     tree_part = broom.induced_subgraph(tree.vertices)
     tree_ideal = edge_ideal(tree_part).with_ambient(ambient)
-
-    from .covers import enumerate_strong_covers
 
     strong = enumerate_strong_covers(broom)
     through_x = []
@@ -393,8 +394,6 @@ def check_line_cover_families(weights: Sequence[int]) -> CheckResult:
 
     def prefix_line(m: int) -> WeightedOrientedGraph:
         return g.induced_subgraph(vs[:m])
-
-    from .covers import minimal_vertex_covers
 
     fixed = {
         "alpha": frozenset({var(k - 1)} | {var(i) for i in range(k + 1, n + 1)}),

@@ -1,8 +1,9 @@
 """Shared brute-force oracles, written independently of the library code.
 
-The strong-cover filter below recomputes adjacency and the cover layers
-from the raw edge list on purpose: it is the reference the library's
-enumeration is checked against, so it must not reuse that code path.
+The cover oracles below test every vertex subset against the raw edge
+list and recompute adjacency and the cover layers from it on purpose:
+they are the reference the library's enumeration is checked against, so
+they must not reuse that code path.
 """
 
 from __future__ import annotations
@@ -10,6 +11,18 @@ from __future__ import annotations
 import itertools
 
 from oriented_ideals import Monomial, WeightedOrientedGraph
+
+
+def brute_force_vertex_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
+    """Every vertex subset meeting every edge, by size and then position."""
+    vs = list(g.vertices)
+    found = []
+    for r in range(len(vs) + 1):
+        for combo in itertools.combinations(vs, r):
+            c = frozenset(combo)
+            if all(t in c or h in c for t, h in g.edges):
+                found.append(c)
+    return found
 
 
 def brute_force_strong_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
@@ -23,22 +36,30 @@ def brute_force_strong_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
     weights = g.weights
 
     found = []
-    for r in range(len(vs) + 1):
-        for combo in itertools.combinations(vs, r):
-            c = set(combo)
-            if not all(t in c or h in c for t, h in g.edges):
-                continue
-            l1 = {v for v in c if out[v] - c}
-            l2 = {v for v in c - l1 if inc[v] - c}
-            l3 = c - l1 - l2
-            feeders = (l2 | l3)
-            good = all(
-                any(u in feeders and weights[u] >= 2 for u in inc[x])
-                for x in l3
-            )
-            if good:
-                found.append(frozenset(c))
+    for c in brute_force_vertex_covers(g):
+        l1 = {v for v in c if out[v] - c}
+        l2 = {v for v in c - l1 if inc[v] - c}
+        l3 = c - l1 - l2
+        feeders = (l2 | l3)
+        good = all(
+            any(u in feeders and weights[u] >= 2 for u in inc[x])
+            for x in l3
+        )
+        if good:
+            found.append(c)
     return found
+
+
+def brute_force_maximal_strong_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
+    """Strong covers inside no other strong cover, compared pairwise."""
+    strong = brute_force_strong_covers(g)
+    return [c for c in strong if not any(c < d for d in strong)]
+
+
+def brute_force_minimal_vertex_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
+    """Vertex covers containing no other vertex cover, compared pairwise."""
+    covers = brute_force_vertex_covers(g)
+    return [c for c in covers if not any(d < c for d in covers)]
 
 
 def all_monomials_up_to(variables: tuple[str, ...], max_degree: int) -> list[Monomial]:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oriented_ideals import (
@@ -23,7 +24,11 @@ from oriented_ideals import (
 )
 from oriented_ideals.covers import CAP_ENV_VAR
 
-from conftest import brute_force_strong_covers
+from conftest import (
+    brute_force_maximal_strong_covers,
+    brute_force_minimal_vertex_covers,
+    brute_force_strong_covers,
+)
 
 
 LINE3 = oriented_line(3, (1, 2, 2))
@@ -39,8 +44,10 @@ def test_is_vertex_cover():
     assert is_vertex_cover(LINE3, {"x1", "x3"})
     assert not is_vertex_cover(LINE3, {"x1"})
     assert not is_vertex_cover(LINE3, set())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown vertex 'nope'"):
         is_vertex_cover(LINE3, {"nope"})
+    with pytest.raises(ValueError, match="unknown vertex 'nope'"):
+        is_strong_cover(LINE3, {"x2", "nope"})
 
 
 def test_partition_middle_vertex():
@@ -64,7 +71,7 @@ def test_partition_full_cover_is_all_l3():
 
 
 def test_partition_rejects_non_cover():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\['x1'\] is not a vertex cover"):
         cover_partition(LINE3, {"x1"})
     assert not is_strong_cover(LINE3, {"x1"})
 
@@ -210,3 +217,49 @@ def test_enumeration_is_sorted_and_deduplicated(g):
     keys = [(len(c), sorted(g.position(v) for v in c)) for c in covers]
     assert keys == sorted(keys)
     assert len(set(map(frozenset, covers))) == len(covers)
+
+
+def _graph(n, edges=(), weights=None):
+    vs = [f"v{i}" for i in range(n)]
+    return WeightedOrientedGraph(
+        vs, [(vs[t], vs[h]) for t, h in edges], dict(zip(vs, weights or [1] * n))
+    )
+
+
+@st.composite
+def scan_graphs(draw):
+    """Graphs on 0-9 vertices, any orientation, mixed, all-1 or all-heavy weights."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    edges = []
+    for i, j in itertools.combinations(range(n), 2):
+        kind = draw(st.integers(min_value=0, max_value=2))
+        if kind == 1:
+            edges.append((i, j))
+        elif kind == 2:
+            edges.append((j, i))
+    low, high = draw(st.sampled_from(((1, 3), (1, 1), (2, 3))))
+    weights = [draw(st.integers(min_value=low, max_value=high)) for _ in range(n)]
+    return _graph(n, edges, weights)
+
+
+# explicit: no vertices, edgeless, a heavy path beside isolated vertices,
+# a heavy triangle beside a light edge and an isolated vertex
+@given(scan_graphs())
+@example(_graph(0))
+@example(_graph(4))
+@example(_graph(5, [(0, 1), (1, 2)], [2, 2, 2, 2, 2]))
+@example(_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4)], [2, 2, 2, 1, 1, 3]))
+@settings(max_examples=150, deadline=None)
+def test_cover_scans_match_brute_force(g):
+    assert enumerate_strong_covers(g) == brute_force_strong_covers(g)
+    assert maximal_strong_covers(g) == brute_force_maximal_strong_covers(g)
+    assert minimal_vertex_covers(g) == brute_force_minimal_vertex_covers(g)
+
+
+def test_cycle18_cover_counts():
+    g = oriented_cycle(18, (2,) * 18)
+    # every vertex cover of an all-heavy oriented cycle is strong: Lucas L18
+    assert len(enumerate_strong_covers(g)) == 5778
+    assert maximal_strong_covers(g) == [frozenset(g.vertices)]
+    # minimal vertex covers of C18: Perrin P18
+    assert len(minimal_vertex_covers(g)) == 158

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oriented_ideals import (
+    InvariantError,
     Monomial,
+    MonomialIdeal,
     WeightedOrientedGraph,
     compare_powers,
     edge_ideal,
@@ -20,6 +22,7 @@ from oriented_ideals import (
     symbolic_power,
     symbolic_power_oracle,
 )
+from oriented_ideals import symbolic
 
 
 LINE5 = oriented_line(5, (1, 2, 1, 1, 1))
@@ -142,3 +145,13 @@ def test_compare_powers_matches_direct_computation():
         report = compare_powers(g, 3)
         for row in report.per_s:
             assert row.equal == (edge_ideal(g) ** row.s == symbolic_power(g, row.s))
+
+
+def test_compare_powers_broken_containment_is_typed(monkeypatch):
+    g = oriented_line(3, (1, 2, 2))
+    # a fold that returns the zero ideal leaves I^s outside the symbolic power
+    monkeypatch.setattr(
+        symbolic, "intersect_all", lambda ideals, ambient=None: MonomialIdeal.zero(g.vertices)
+    )
+    with pytest.raises(InvariantError, match="not inside the symbolic power"):
+        compare_powers(g, 1)
