@@ -25,7 +25,6 @@ from .graphs import (
 )
 from .ideals import (
     IrreducibleComponent,
-    associated_primes,
     decomposition_intersection,
     edge_ideal,
     irreducible_component,
@@ -69,7 +68,6 @@ __all__ = [
     "PowerComparison",
     "RegressionSummary",
     "WeightedOrientedGraph",
-    "associated_primes",
     "check_broom_equality",
     "check_cycle_equality",
     "check_full_cover_equality",

@@ -8,15 +8,12 @@ contributes an irreducible ideal generated by pure variable powers:
     x^w(x)  for x in L2(C) or L3(C).
 
 The intersection of these ideals over all strong covers recovers the edge
-ideal, one component per associated prime.  A variant reading that raises
-L1 and L2 vertices instead (and drops L3) is kept available behind the
-``literal`` flag for comparison; it does not satisfy the intersection
-identity and is never used by the decomposition.
+ideal, one component per associated prime, and no component contains the
+intersection of the others (Pitones-Reyes-Toledo, 2019).
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -40,7 +37,6 @@ class IrreducibleComponent:
 
     cover: frozenset[str]
     ideal: MonomialIdeal
-    radical_support: frozenset[str]
 
     def to_json(self, g: WeightedOrientedGraph) -> dict:
         parts = cover_partition(g, self.cover)
@@ -50,28 +46,17 @@ class IrreducibleComponent:
 
 
 def irreducible_component(
-    g: WeightedOrientedGraph,
-    cover: Iterable[str],
-    *,
-    literal: bool = False,
+    g: WeightedOrientedGraph, cover: Iterable[str]
 ) -> IrreducibleComponent:
-    """The irreducible ideal attached to a strong cover.
-
-    With literal=True the variant reading is used: plain L1 variables plus
-    weighted powers of L1 and L2 (L3 contributing nothing).
-    """
+    """The irreducible ideal attached to a strong cover."""
     cover = frozenset(cover)
     if not is_strong_cover(g, cover):
         raise ValueError(f"{sorted(cover)} is not a strong vertex cover")
     parts = cover_partition(g, cover)
-    if literal:
-        gens = [Monomial({v: 1}) for v in parts.l1]
-        gens += [Monomial({v: g.weight(v)}) for v in parts.l1 | parts.l2]
-    else:
-        gens = [Monomial({v: 1}) for v in parts.l1]
-        gens += [Monomial({v: g.weight(v)}) for v in parts.l2 | parts.l3]
+    gens = [Monomial({v: 1}) for v in parts.l1]
+    gens += [Monomial({v: g.weight(v)}) for v in parts.l2 | parts.l3]
     ideal = MonomialIdeal(g.vertices, gens)
-    return IrreducibleComponent(cover=cover, ideal=ideal, radical_support=cover)
+    return IrreducibleComponent(cover=cover, ideal=ideal)
 
 
 def irreducible_decomposition(
@@ -79,49 +64,11 @@ def irreducible_decomposition(
 ) -> list[IrreducibleComponent]:
     """Irreducible components of the edge ideal, one per strong cover.
 
-    The full list is expected to be irredundant already; a safety pass
-    still drops any component containing the intersection of the others
-    and warns loudly, since that would contradict the theory.  An edgeless
-    graph has the zero ideal and no components.
+    No component contains the intersection of the others, so the list is
+    the irredundant decomposition as it stands.  An edgeless graph has the
+    zero ideal and no components.
     """
-    covers = [c for c in enumerate_strong_covers(g, cap) if c]
-    components = [irreducible_component(g, c) for c in covers]
-    if len(components) <= 1:
-        return components
-
-    # prefix[i] = intersection of ideals before i, suffix[i] = after i
-    ideals = [c.ideal for c in components]
-    n = len(ideals)
-    prefix = [None] * (n + 1)
-    suffix = [None] * (n + 1)
-    prefix[0] = MonomialIdeal.unit(g.vertices)
-    suffix[n] = MonomialIdeal.unit(g.vertices)
-    for i in range(n):
-        prefix[i + 1] = prefix[i].intersect(ideals[i])
-        suffix[n - 1 - i] = suffix[n - i].intersect(ideals[n - 1 - i])
-
-    kept = []
-    for i, comp in enumerate(components):
-        rest = prefix[i].intersect(suffix[i + 1])
-        if comp.ideal.contains_ideal(rest):
-            warnings.warn(
-                f"component on cover {sorted(comp.cover)} is redundant; "
-                "dropping it (this should never happen)",
-                stacklevel=2,
-            )
-            continue
-        kept.append(comp)
-    return kept
-
-
-def associated_primes(
-    g: WeightedOrientedGraph, cap: int | None = None
-) -> list[frozenset[str]]:
-    """Variable supports of the associated primes: the strong covers.
-
-    The zero ideal (edgeless graph) reports none.
-    """
-    return [c for c in enumerate_strong_covers(g, cap) if c]
+    return [irreducible_component(g, c) for c in enumerate_strong_covers(g, cap) if c]
 
 
 def decomposition_intersection(

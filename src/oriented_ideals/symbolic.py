@@ -1,13 +1,13 @@
 """Symbolic powers of edge ideals, computed two independent ways.
 
-Route one goes through the irreducible decomposition: for each maximal
-associated prime P, intersect the components whose cover sits inside P,
-raise that to the s-th power, and intersect the results over all maximal
-P.  Route two never touches component powers: it saturates the ordinary
-power I^s by the variables outside each maximal prime and intersects.
-Primes below a maximal one contribute nothing to either intersection, so
-both routes may restrict to maximal primes; a debug flag on route one
-intersects over every associated prime instead.
+Route one localizes first: for each maximal associated prime P it forms
+Q_{⊆P}, the edge ideal saturated by the variables outside P (equal to
+the intersection of the components whose cover sits inside P), raises that
+to the s-th power, and intersects the results over all maximal P.  Route
+two takes the ordinary power first: it saturates I^s by the variables
+outside each maximal prime and intersects.  Primes below a maximal one
+contribute nothing to either intersection, so both routes restrict to
+maximal primes.
 
 Equality of the two routes on random graphs is one of the standing
 regression checks.
@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .covers import maximal_strong_covers
+from .covers import is_strong_cover, maximal_strong_covers
 from .graphs import WeightedOrientedGraph
 from .ideals import IrreducibleComponent, edge_ideal, irreducible_decomposition
 from .monomials import Monomial, MonomialIdeal, intersect_all
@@ -28,19 +28,17 @@ class InvariantError(RuntimeError):
     """Raised when a result breaks an invariant the theory guarantees."""
 
 
-def q_sub_p(
-    components: Sequence[IrreducibleComponent], prime: frozenset[str]
-) -> MonomialIdeal:
-    """Intersection of the components whose cover lies inside the prime.
+def q_sub_p(g: WeightedOrientedGraph, prime: frozenset[str]) -> MonomialIdeal:
+    """The edge ideal localized at an associated prime, Q_{⊆P}.
 
-    The prime must be one of the component covers (an associated prime);
-    its own component always qualifies, so the fold is never empty.
+    Saturating by the variables outside P keeps exactly the components
+    whose cover lies inside P (Cooper-Embree-Hà-Hoefel, 2017).  The prime
+    must be a non-empty strong cover, i.e. an associated prime.
     """
     prime = frozenset(prime)
-    if not any(c.cover == prime for c in components):
+    if not prime or not is_strong_cover(g, prime):
         raise ValueError(f"{sorted(prime)} is not an associated prime here")
-    ideals = [c.ideal for c in components if c.cover <= prime]
-    return intersect_all(ideals)
+    return edge_ideal(g).saturate(set(g.vertices) - prime)
 
 
 def _maximal_primes(components: Sequence[IrreducibleComponent]) -> list[frozenset[str]]:
@@ -48,39 +46,21 @@ def _maximal_primes(components: Sequence[IrreducibleComponent]) -> list[frozense
     return [c for c in covers if not any(c < other for other in covers)]
 
 
-def _symbolic_from_components(
-    g: WeightedOrientedGraph,
-    components: Sequence[IrreducibleComponent],
-    s: int,
-    *,
-    all_primes: bool = False,
-) -> MonomialIdeal:
-    covers = [c.cover for c in components]
-    primes = covers if all_primes else _maximal_primes(components)
-    pieces = [q_sub_p(components, p) ** s for p in primes]
-    return intersect_all(pieces, ambient=g.vertices)
-
-
 def symbolic_power(
-    g: WeightedOrientedGraph,
-    s: int,
-    *,
-    all_primes: bool = False,
-    cap: int | None = None,
+    g: WeightedOrientedGraph, s: int, *, cap: int | None = None
 ) -> MonomialIdeal:
-    """The s-th symbolic power of the edge ideal, via the decomposition.
+    """The s-th symbolic power of the edge ideal, localizing before the power.
 
-    all_primes=True intersects over every associated prime instead of the
-    maximal ones only; the result must not change.  The zero ideal is its
-    own symbolic power.
+    The zero ideal is its own symbolic power.
     """
     if not isinstance(s, int) or s < 1:
         raise ValueError(f"symbolic power wants an integer s >= 1, got {s!r}")
     ideal = edge_ideal(g)
     if ideal.is_zero:
         return ideal
-    components = irreducible_decomposition(g, cap)
-    return _symbolic_from_components(g, components, s, all_primes=all_primes)
+    primes = _maximal_primes(irreducible_decomposition(g, cap))
+    pieces = [q_sub_p(g, p) ** s for p in primes]
+    return intersect_all(pieces, ambient=g.vertices)
 
 
 def symbolic_power_oracle(
@@ -89,8 +69,9 @@ def symbolic_power_oracle(
     """The s-th symbolic power by localization at the maximal primes.
 
     Computes I^s once and saturates it by the complement of each maximal
-    associated prime, never intersecting component powers, so it serves
-    as an independent cross-check of symbolic_power.
+    associated prime, taking the power before localizing where
+    symbolic_power localizes first, so it serves as a cross-check of
+    symbolic_power.
     """
     if not isinstance(s, int) or s < 1:
         raise ValueError(f"symbolic power wants an integer s >= 1, got {s!r}")
@@ -168,7 +149,7 @@ def compare_powers(
     ideal = edge_ideal(g)
     components = irreducible_decomposition(g, cap) if not ideal.is_zero else []
     primes = _maximal_primes(components)
-    base = {p: q_sub_p(components, p) for p in primes}
+    base = {p: q_sub_p(g, p) for p in primes}
     running = dict(base)
 
     rows = []

@@ -9,8 +9,20 @@ they must not reuse that code path.
 from __future__ import annotations
 
 import itertools
+import random
 
-from oriented_ideals import Monomial, WeightedOrientedGraph
+import pytest
+
+from oriented_ideals import Monomial, MonomialIdeal, WeightedOrientedGraph, random_graph
+
+SAMPLE_SEED = 20260819
+
+
+@pytest.fixture(scope="session")
+def sample_200():
+    """The fixed 200-graph acceptance sample, shared across test modules."""
+    rng = random.Random(SAMPLE_SEED)
+    return [random_graph(rng, n_max=7, weight_max=3) for _ in range(200)]
 
 
 def brute_force_vertex_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
@@ -147,3 +159,56 @@ def reference_intersection(a_rows, b_rows) -> tuple[tuple[int, ...], ...]:
     return reference_minimal_rows(
         tuple(max(x, y) for x, y in zip(a, b)) for a in a_rows for b in b_rows
     )
+
+
+# --- decomposition oracles ----------------------------------------------------
+#
+# The library builds Q_{⊆P} by saturating the edge ideal and relies on the
+# strong-cover components being irredundant.  These are the component
+# intersection and the prefix/suffix redundancy check that it replaced.
+
+
+def component_q_sub_p(components, prime) -> MonomialIdeal:
+    """Intersection of the components whose cover lies inside the prime.
+
+    The prime must be one of the component covers.  The fold runs on the
+    tuple reference kernel, so no library kernel is involved.
+    """
+    prime = frozenset(prime)
+    assert any(c.cover == prime for c in components), f"{sorted(prime)} is not a cover here"
+    inside = [c.ideal for c in components if c.cover <= prime]
+    rows = inside[0]._rows
+    for ideal in inside[1:]:
+        rows = reference_intersection(rows, ideal._rows)
+    ambient = inside[0].ambient
+    return MonomialIdeal(ambient, [Monomial(zip(ambient, row)) for row in rows])
+
+
+def maximal_covers(components) -> list[frozenset[str]]:
+    """Component covers inside no other component cover, compared pairwise."""
+    covers = [c.cover for c in components]
+    return [c for c in covers if not any(c < d for d in covers)]
+
+
+def assert_irredundant(components) -> None:
+    """No component contains the intersection of the others.
+
+    The intersection of all but component i is the meet of the prefix
+    before i and the suffix after it, so each fold is done once.
+    """
+    if not components:
+        return
+    ideals = [c.ideal for c in components]
+    unit = MonomialIdeal.unit(ideals[0].ambient)
+    prefix = [unit]
+    for ideal in ideals:
+        prefix.append(prefix[-1].intersect(ideal))
+    suffix = [unit]
+    for ideal in reversed(ideals):
+        suffix.append(suffix[-1].intersect(ideal))
+    suffix.reverse()
+    for i, comp in enumerate(components):
+        rest = prefix[i].intersect(suffix[i + 1])
+        assert not comp.ideal.contains_ideal(rest), (
+            f"component on cover {sorted(comp.cover)} is redundant"
+        )

@@ -11,8 +11,6 @@ import itertools
 import random
 import time
 
-import pytest
-
 from oriented_ideals import (
     Monomial,
     check_broom_equality,
@@ -21,6 +19,7 @@ from oriented_ideals import (
     decomposition_intersection,
     edge_ideal,
     enumerate_strong_covers,
+    intersect_all,
     irreducible_decomposition,
     line_equality_condition,
     oriented_cycle,
@@ -31,17 +30,12 @@ from oriented_ideals import (
     symbolic_power_oracle,
 )
 
-from conftest import brute_force_strong_covers
-
-
-SAMPLE_SEED = 20260819
-
-
-@pytest.fixture(scope="module")
-def sample_200():
-    """One fixed 200-graph sample shared by criteria 1 and 2."""
-    rng = random.Random(SAMPLE_SEED)
-    return [random_graph(rng, n_max=7, weight_max=3) for _ in range(200)]
+from conftest import (
+    SAMPLE_SEED,
+    brute_force_strong_covers,
+    component_q_sub_p,
+    maximal_covers,
+)
 
 
 def report(name: str, ok: bool, elapsed: float, limit: float) -> None:
@@ -66,12 +60,19 @@ def test_decomposition_identity_random_graphs(sample_200):
 
 
 def test_symbolic_routes_agree_random_graphs(sample_200):
+    # three routes: localize then power, power then localize, and the
+    # powers of the component intersections Q_{⊆P}
     start = time.perf_counter()
     bad = []
     for g in sample_200:
+        comps = irreducible_decomposition(g)
+        local = [component_q_sub_p(comps, p) for p in maximal_covers(comps)]
         for s in (1, 2, 3):
-            if symbolic_power(g, s) != symbolic_power_oracle(g, s):
-                bad.append((g.to_json(), s))
+            symbolic = symbolic_power(g, s)
+            if symbolic != symbolic_power_oracle(g, s):
+                bad.append((g.to_json(), s, "oracle"))
+            if local and symbolic != intersect_all([q**s for q in local]):
+                bad.append((g.to_json(), s, "component intersections"))
     elapsed = time.perf_counter() - start
     report("symbolic power matches oracle, s <= 3", not bad, elapsed, 60.0)
     assert not bad, bad[:3]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from oriented_ideals import (
     MonomialIdeal,
     WeightedOrientedGraph,
-    associated_primes,
     decomposition_intersection,
     edge_ideal,
     enumerate_strong_covers,
@@ -22,6 +20,8 @@ from oriented_ideals import (
     oriented_line,
     random_graph,
 )
+
+from conftest import assert_irredundant
 
 
 LINE3 = oriented_line(3, (1, 2, 2))
@@ -70,22 +70,6 @@ def test_cycle3_full_cover_component():
     assert decomposition_intersection(comps, g) == edge_ideal(g)
 
 
-def test_literal_variant_differs_and_breaks_identity():
-    adopted = irreducible_component(LINE3, {"x2", "x3"})
-    literal = irreducible_component(LINE3, {"x2", "x3"}, literal=True)
-    assert gens(adopted.ideal) == {"x2^2", "x3^2"}
-    assert gens(literal.ideal) == {"x2^2"}
-
-    covers = [c for c in enumerate_strong_covers(LINE3) if c]
-    literal_ideals = [
-        irreducible_component(LINE3, c, literal=True).ideal for c in covers
-    ]
-    meet = literal_ideals[0]
-    for other in literal_ideals[1:]:
-        meet = meet.intersect(other)
-    assert meet != edge_ideal(LINE3)
-
-
 def test_component_rejects_non_strong_cover():
     with pytest.raises(ValueError):
         irreducible_component(LINE3, {"x1"})
@@ -94,13 +78,12 @@ def test_component_rejects_non_strong_cover():
 
 
 def test_associated_primes():
-    assert associated_primes(LINE3) == [
+    assert [c.cover for c in irreducible_decomposition(LINE3)] == [
         frozenset({"x2"}),
         frozenset({"x1", "x3"}),
         frozenset({"x2", "x3"}),
     ]
     edgeless = WeightedOrientedGraph(("a",), [])
-    assert associated_primes(edgeless) == []
     assert irreducible_decomposition(edgeless) == []
 
 
@@ -136,12 +119,28 @@ def test_edge_ideal_contained_in_every_component(g):
 
 @given(small_graphs())
 @settings(max_examples=50, deadline=None)
-def test_decomposition_is_irredundant_without_warnings(g):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        comps = irreducible_decomposition(g)
+def test_decomposition_is_irredundant(g):
+    comps = irreducible_decomposition(g)
     expected = [c for c in enumerate_strong_covers(g) if c]
     assert [set(c.cover) for c in comps] == [set(c) for c in expected]
+    assert_irredundant(comps)
+
+
+def test_decomposition_is_irredundant_on_acceptance_sample(sample_200):
+    for g in sample_200:
+        assert_irredundant(irreducible_decomposition(g))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_cycle_decomposition_is_irredundant(n):
+    assert_irredundant(irreducible_decomposition(oriented_cycle(n, (2,) * n)))
+
+
+def test_irredundancy_check_catches_a_redundant_component():
+    comps = irreducible_decomposition(LINE3)
+    # a repeated component contains the intersection of the others
+    with pytest.raises(AssertionError, match="redundant"):
+        assert_irredundant(comps + [irreducible_component(LINE3, {"x2", "x3"})])
 
 
 @given(small_graphs(n_max=5))

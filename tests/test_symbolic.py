@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oriented_ideals import (
@@ -15,7 +15,9 @@ from oriented_ideals import (
     WeightedOrientedGraph,
     compare_powers,
     edge_ideal,
+    intersect_all,
     irreducible_decomposition,
+    oriented_cycle,
     oriented_line,
     q_sub_p,
     random_graph,
@@ -24,28 +26,68 @@ from oriented_ideals import (
 )
 from oriented_ideals import symbolic
 
+from conftest import (
+    all_monomials_up_to,
+    brute_force_member,
+    component_q_sub_p,
+    maximal_covers,
+    reference_product,
+)
+
 
 LINE5 = oriented_line(5, (1, 2, 1, 1, 1))
+MEMBERSHIP_DEGREE = 5
 
 
 def gens(ideal):
     return set(ideal.generator_strings())
 
 
+@st.composite
+def small_graphs(draw, n_max=5):
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return random_graph(random.Random(seed), n_max=n_max)
+
+
 def test_q_sub_p_line2():
     g = oriented_line(2, (1, 1))
-    comps = irreducible_decomposition(g)
-    assert gens(q_sub_p(comps, frozenset({"x1"}))) == {"x1"}
-    assert gens(q_sub_p(comps, frozenset({"x2"}))) == {"x2"}
-    with pytest.raises(ValueError):
-        q_sub_p(comps, frozenset({"x1", "x2"}))
+    assert gens(q_sub_p(g, frozenset({"x1"}))) == {"x1"}
+    assert gens(q_sub_p(g, frozenset({"x2"}))) == {"x2"}
+    with pytest.raises(ValueError, match="not an associated prime"):
+        q_sub_p(g, frozenset({"x1", "x2"}))
+    # the empty set is a strong cover of an edgeless graph, but no prime
+    with pytest.raises(ValueError, match="not an associated prime"):
+        q_sub_p(WeightedOrientedGraph(("a",), []), frozenset())
 
 
 def test_q_sub_p_collects_nested_covers():
     # {x2, x3} contains the cover {x2}, so both components intersect
-    comps = irreducible_decomposition(oriented_line(3, (1, 2, 2)))
-    q = q_sub_p(comps, frozenset({"x2", "x3"}))
-    assert gens(q) == {"x2", "x3^2"} or q == comps[0].ideal.intersect(comps[2].ideal)
+    g = oriented_line(3, (1, 2, 2))
+    q = q_sub_p(g, frozenset({"x2", "x3"}))
+    assert gens(q) == {"x2^2", "x2*x3^2"}
+    assert q == component_q_sub_p(irreducible_decomposition(g), {"x2", "x3"})
+
+
+def assert_q_sub_p_matches_components(g):
+    comps = irreducible_decomposition(g)
+    for c in comps:
+        assert q_sub_p(g, c.cover) == component_q_sub_p(comps, c.cover), sorted(c.cover)
+
+
+@given(small_graphs())
+@settings(max_examples=50, deadline=None)
+def test_q_sub_p_matches_component_intersection(g):
+    assert_q_sub_p_matches_components(g)
+
+
+def test_q_sub_p_matches_component_intersection_on_acceptance_sample(sample_200):
+    for g in sample_200:
+        assert_q_sub_p_matches_components(g)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_cycle_q_sub_p_matches_component_intersection(n):
+    assert_q_sub_p_matches_components(oriented_cycle(n, (2,) * n))
 
 
 def test_first_symbolic_power_is_edge_ideal():
@@ -107,12 +149,6 @@ def test_report_json_shape():
     assert data["graph"]["vertices"] == list(LINE5.vertices)
 
 
-@st.composite
-def small_graphs(draw, n_max=5):
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return random_graph(random.Random(seed), n_max=n_max)
-
-
 @given(small_graphs(), st.integers(min_value=1, max_value=3))
 @settings(max_examples=30, deadline=None)
 def test_symbolic_matches_saturation_oracle(g, s):
@@ -122,7 +158,35 @@ def test_symbolic_matches_saturation_oracle(g, s):
 @given(small_graphs(), st.integers(min_value=1, max_value=3))
 @settings(max_examples=30, deadline=None)
 def test_maximal_prime_restriction_is_lossless(g, s):
-    assert symbolic_power(g, s) == symbolic_power(g, s, all_primes=True)
+    comps = irreducible_decomposition(g)
+    if not comps:
+        return
+    every_prime = [component_q_sub_p(comps, c.cover) ** s for c in comps]
+    assert symbolic_power(g, s) == intersect_all(every_prime)
+
+
+@given(small_graphs(), st.integers(min_value=1, max_value=2))
+@example(oriented_cycle(3, (1, 1, 1)), 2)  # x1*x2*x3 is in I^(2), not in I^2
+@example(oriented_cycle(3, (1, 2, 1)), 2)  # likewise x1*x2^2*x3
+@settings(max_examples=15, deadline=None)
+def test_symbolic_membership_matches_brute_force(g, s):
+    # m is in I^(s) iff m is a multiple of a generator of Q_{⊆P}^s for
+    # every maximal P; the oracle side uses only the tuple reference kernel
+    # and enumeration
+    comps = irreducible_decomposition(g)
+    symbolic = symbolic_power(g, s)
+    local = []
+    for p in maximal_covers(comps):
+        rows = component_q_sub_p(comps, p)._rows
+        power = rows
+        for _ in range(s - 1):
+            power = reference_product(power, rows)
+        local.append([Monomial(zip(g.vertices, row)) for row in power])
+    for m in all_monomials_up_to(g.vertices, MEMBERSHIP_DEGREE):
+        expected = bool(local) and all(
+            brute_force_member(gens_p, m, g.vertices) for gens_p in local
+        )
+        assert symbolic.contains(m) == expected, m
 
 
 @given(small_graphs())
