@@ -257,6 +257,9 @@ def _verify_checks(args: argparse.Namespace) -> list:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the line checks do not read --s-max, so it is checked here for all
+    if args.s_max < 1:
+        raise ValueError(f"--s-max must be >= 1, got {args.s_max}")
     results = []
     summary = None
     if args.random:

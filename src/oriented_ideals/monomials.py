@@ -29,6 +29,23 @@ With H the mask of all guard bits, k divides x exactly when
 which keeps its guard bit iff x_i >= k_i and never borrows from the next
 field.  The same guard bits give a per-field mask of where x_i >= k_i,
 from which the lcm of two rows is assembled without unpacking.
+
+Minimalization, containment and the pre-passes of an intersection all
+ask one question: does some row of a list divide x?  A _Divisors index
+answers it for 64 rows with a few big-int operations.  Each complete run
+of 64 rows, in list order, is one block int holding one slot of n*W + 1
+bits per row: the row's n fields, then a slot top bit that is clear.
+With ``ones`` the low bit of every slot, ``(x | H) * ones`` holds x|H in
+every slot, and subtracting the block computes the test above in all 64
+slots at once.  Each field stays nonnegative, so no borrow leaves a field
+and none reaches the slot top bit or the next slot.  Setting every bit of
+a slot except its guard bits and top bit and adding ``ones`` then carries
+into a slot's top bit exactly when all its guard bits survived, that is,
+when that slot's row divides x, and the carry stops at that top bit.
+Blocks are tested in list order, so a hit still ends the search early.
+The rows after the last complete block, fewer than 64, are scanned one
+at a time, so an ideal of fewer than 64 generators builds no block and
+pays nothing for them.
 """
 
 from __future__ import annotations
@@ -163,7 +180,7 @@ def _max_exponent(rows: Iterable[tuple[int, ...]]) -> int:
 class _Layout:
     """Packing of n-variable rows whose exponents are at most maxexp."""
 
-    __slots__ = ("vbits", "shifts", "guard", "mask", "modulus")
+    __slots__ = ("vbits", "shifts", "guard", "mask", "modulus", "bits")
 
     def __init__(self, n: int, maxexp: int):
         vbits = max(n * maxexp, 1).bit_length()
@@ -173,6 +190,7 @@ class _Layout:
         self.guard = sum(1 << (s + vbits) for s in self.shifts)
         self.mask = (1 << vbits) - 1
         self.modulus = (1 << width) - 1
+        self.bits = width * n
 
     def pack(self, rows: Iterable[tuple[int, ...]]) -> list[int]:
         shifts = self.shifts
@@ -182,30 +200,90 @@ class _Layout:
         return tuple(map(self.mask.__and__, map(x.__rshift__, self.shifts)))
 
     def minimal(self, packed: set[int]) -> tuple[tuple[int, ...], ...]:
-        """Rows of the minimal elements of packed, unpacked and sorted graded-lex."""
+        """Rows of the minimal elements of packed, unpacked and sorted graded-lex.
+
+        Rows are scanned in graded-lex order, and a row is kept unless a
+        kept row of strictly smaller degree divides it; rows of one degree
+        cannot divide each other unless they are equal.  The kept rows of
+        smaller degree are searched through a _Divisors index, which grows
+        by the rows of each finished degree.
+        """
         modulus = self.modulus
-        guard = self.guard
-        smaller: list[int] = []  # kept rows of strictly smaller degree
+        kept: list[int] = []  # kept rows of strictly smaller degree
         current: list[int] = []  # kept rows of the degree being scanned
+        smaller = _Divisors(self, [])
+        divides = smaller.divides
         degree = -1
         for d, neg in sorted((x % modulus, -x) for x in packed):
             if d != degree:
-                smaller += current
+                kept += current
+                smaller.extend(current)
                 current = []
                 degree = d
-            if not _in_ideal(-neg, smaller, guard):
+            if not divides(-neg):
                 current.append(-neg)
-        smaller += current
-        return tuple(map(self.unpack, smaller))
+        kept += current
+        return tuple(map(self.unpack, kept))
 
 
-def _in_ideal(x: int, gens: Iterable[int], guard: int) -> bool:
-    """Some packed generator divides the packed row x."""
-    xg = x | guard
-    for k in gens:
-        if (xg - k) & guard == guard:
-            return True
-    return False
+BLOCK = 64  # rows per block int in a _Divisors index
+
+
+class _Divisors:
+    """Packed rows of one layout, searched for a divisor of a packed row.
+
+    Every complete run of BLOCK rows, in the order the rows came, is one
+    block int with one slot of ``layout.bits + 1`` bits per row; the rows
+    after the last complete block form the tail and are scanned one by one.
+    """
+
+    __slots__ = ("guard", "slot", "blocks", "tail", "ones", "fill", "tops")
+
+    def __init__(self, layout: _Layout, rows: list[int]):
+        self.guard = layout.guard
+        self.slot = layout.bits + 1
+        self.blocks: list[int] = []
+        self.tail = rows  # not copied, and never changed in place
+        if len(rows) >= BLOCK:
+            self._fold()
+
+    def extend(self, rows: list[int]) -> None:
+        """Add rows after the ones already held."""
+        self.tail = self.tail + rows
+        if len(self.tail) >= BLOCK:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Move every complete run of BLOCK tail rows into a block."""
+        slot = self.slot
+        if not self.blocks:
+            self.ones = ((1 << (slot * BLOCK)) - 1) // ((1 << slot) - 1)
+            self.tops = self.ones << (slot - 1)
+            self.fill = self.ones * ((1 << (slot - 1)) - 1 - self.guard)
+        offsets = range(0, slot * BLOCK, slot)
+        tail = self.tail
+        full = len(tail) - len(tail) % BLOCK
+        for start in range(0, full, BLOCK):
+            self.blocks.append(sum(map(lshift, tail[start : start + BLOCK], offsets)))
+        self.tail = tail[full:]
+
+    def divides(self, x: int) -> bool:
+        """Some held row divides the packed row x."""
+        guard = self.guard
+        xg = x | guard
+        blocks = self.blocks
+        if blocks:
+            # x in every slot; a slot carries into its top bit iff its row
+            # divides x
+            spread = xg * self.ones
+            fill, ones, tops = self.fill, self.ones, self.tops
+            for block in blocks:
+                if ((spread - block) | fill) + ones & tops:
+                    return True
+        for k in self.tail:
+            if (xg - k) & guard == guard:
+                return True
+        return False
 
 
 def _canonical(n: int, rows: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -281,6 +359,11 @@ class MonomialIdeal:
         return self._gens
 
     @property
+    def num_generators(self) -> int:
+        """Size of the minimal generating set, without building any Monomial."""
+        return len(self._rows)
+
+    @property
     def is_zero(self) -> bool:
         return not self._rows
 
@@ -297,24 +380,38 @@ class MonomialIdeal:
                 f"ambient mismatch: {self._ambient} vs {other._ambient}"
             )
 
-    def _contains_rows(self, rows: Sequence[tuple[int, ...]]) -> bool:
+    def _first_outside(self, rows: Sequence[tuple[int, ...]]) -> int | None:
+        """Index of the first of rows that self does not contain, if any."""
         layout = _Layout(
             len(self._ambient), max(_max_exponent(self._rows), _max_exponent(rows))
         )
-        gens = layout.pack(self._rows)
-        return all(_in_ideal(x, gens, layout.guard) for x in layout.pack(rows))
+        divides = _Divisors(layout, layout.pack(self._rows)).divides
+        for i, x in enumerate(layout.pack(rows)):
+            if not divides(x):
+                return i
+        return None
 
     def contains(self, m: Monomial | str) -> bool:
         """Membership: some generator divides m."""
         if isinstance(m, str):
             m = Monomial.from_str(m)
         # variables outside the ambient cannot matter: no generator uses them
-        return self._contains_rows([tuple(m[v] for v in self._ambient)])
+        return self._first_outside([tuple(m[v] for v in self._ambient)]) is None
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
         """True iff other is a subideal of self."""
         self._require_same_ambient(other)
-        return self._contains_rows(other._rows)
+        return self._first_outside(other._rows) is None
+
+    def first_generator_outside(self, other: MonomialIdeal) -> Monomial | None:
+        """The first generator of self, in canonical order, not in other.
+
+        None when other contains self.  Only the generator returned is
+        built as a Monomial.
+        """
+        self._require_same_ambient(other)
+        i = other._first_outside(self._rows)
+        return None if i is None else self._monomial(self._rows[i])
 
     def __le__(self, other: MonomialIdeal) -> bool:
         if not isinstance(other, MonomialIdeal):
@@ -366,16 +463,18 @@ class MonomialIdeal:
         guard, vbits = layout.guard, layout.vbits
         mine = layout.pack(self._rows)
         theirs = layout.pack(other._rows)
+        in_theirs = _Divisors(layout, theirs).divides
+        in_mine = _Divisors(layout, mine).divides
         out: set[int] = set()
         pair_mine = []
         for x in mine:
-            if _in_ideal(x, theirs, guard):
+            if in_theirs(x):
                 out.add(x)
             else:
                 pair_mine.append(x)
         pair_theirs = []
         for y in theirs:
-            if _in_ideal(y, mine, guard):
+            if in_mine(y):
                 out.add(y)
             else:
                 pair_theirs.append(y)

@@ -142,7 +142,9 @@ def compare_powers(
     The containment I^s inside the symbolic power always holds here; a
     result that breaks it raises InvariantError.  When the two differ, the
     witness is the first minimal generator of the symbolic power (in
-    canonical order) that ordinary power membership rejects.
+    canonical order) that the ordinary power does not contain; it is
+    confirmed with a membership test, and InvariantError is raised if that
+    test accepts it.
     """
     if not isinstance(s_max, int) or s_max < 1:
         raise ValueError(f"s_max must be an integer >= 1, got {s_max!r}")
@@ -170,21 +172,22 @@ def compare_powers(
         equal = ordinary == symbolic
         witness = None
         if not equal:
-            for gen in symbolic.generators:
-                if not ordinary.contains(gen):
-                    witness = gen
-                    break
+            witness = symbolic.first_generator_outside(ordinary)
             if witness is None:
                 raise InvariantError(
                     "unequal ideals with no witness generator; impossible"
+                )
+            if ordinary.contains(witness):
+                raise InvariantError(
+                    f"the witness {witness} lies in I^{s}; the computation is broken"
                 )
         rows.append(
             PowerComparison(
                 s=s,
                 equal=equal,
                 witness=witness,
-                ordinary_generators=len(ordinary.generators),
-                symbolic_generators=len(symbolic.generators),
+                ordinary_generators=ordinary.num_generators,
+                symbolic_generators=symbolic.num_generators,
             )
         )
     return EqualityReport(graph=g.to_json(), s_max=s_max, per_s=tuple(rows))

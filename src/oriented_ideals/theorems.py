@@ -94,6 +94,12 @@ def _skip(check: str, instance: str, notice: str) -> CheckResult:
     )
 
 
+def _require_positive(name: str, value: int) -> None:
+    """A sweep bound below 1 would check nothing and still pass."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def check_full_cover_equality(
     g: WeightedOrientedGraph, s_max: int = 3, cap: int | None = None
 ) -> CheckResult:
@@ -103,6 +109,7 @@ def check_full_cover_equality(
     Isolated vertices are outside the statement (they are neither sources
     nor coverable into a strong full cover), so they skip the check.
     """
+    _require_positive("s_max", s_max)
     name = "full_cover_equality"
     instance = f"graph with {len(g.vertices)} vertices, {len(g.edges)} edges"
     if any(w < 2 for w in g.weights.values()):
@@ -144,6 +151,7 @@ def check_full_cover_equality(
 
 def check_cycle_equality(weights: Sequence[int], s_max: int = 3) -> CheckResult:
     """Naturally oriented cycle, all weights >= 2: powers agree up to s_max."""
+    _require_positive("s_max", s_max)
     name = "cycle_equality"
     weights = tuple(weights)
     instance = f"cycle weights={weights}"
@@ -180,6 +188,7 @@ def check_broom_equality(
         through x:  (x, root^w) + tree edge ideal
         through y:  (y^w(y), y*root^w) + tree edge ideal
     """
+    _require_positive("s_max", s_max)
     name = "broom_equality"
     instance = (
         f"broom w_y={w_y} w_z={w_z} tree_vertices={len(tree.vertices)} root={root!r}"
@@ -572,7 +581,10 @@ def random_regression(
     and every ordinary power sits inside its symbolic power.
 
     Any counterexample is recorded with the full graph for reproduction.
+    trials and s_max below 1 raise ValueError.
     """
+    _require_positive("trials", trials)
+    _require_positive("s_max", s_max)
     rng = random.Random(seed)
     summary = RegressionSummary(seed=seed, trials=trials)
     for _ in range(trials):

@@ -161,6 +161,35 @@ def reference_intersection(a_rows, b_rows) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def reference_first_outside(a_rows, b_rows) -> tuple[int, ...] | None:
+    """The first of a_rows that no row of b_rows divides, if any."""
+    for row in a_rows:
+        if not any(row_divides(k, row) for k in b_rows):
+            return row
+    return None
+
+
+# --- power comparison oracle --------------------------------------------------
+#
+# compare_powers reads the generator counts and searches for the witness on
+# rows; this is the Monomial-level search it replaced.
+
+
+def reference_power_comparison(ordinary, symbolic) -> tuple[Monomial | None, int, int]:
+    """(witness, ordinary generator count, symbolic generator count).
+
+    The witness is the first generator of the symbolic power, in canonical
+    order, that membership in the ordinary power rejects; None if there is
+    none.
+    """
+    witness = None
+    for gen in symbolic.generators:
+        if not ordinary.contains(gen):
+            witness = gen
+            break
+    return witness, len(ordinary.generators), len(symbolic.generators)
+
+
 # --- decomposition oracles ----------------------------------------------------
 #
 # The library builds Q_{⊆P} by saturating the edge ideal and relies on the

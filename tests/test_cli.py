@@ -257,3 +257,23 @@ def test_oracle_disagreement_exits_one(graph_file, capsys, monkeypatch):
     )
     assert code == 1
     assert "oracle agrees: false" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--random", "--trials", "-1", "--json"],
+        ["--random", "--trials", "0", "--json"],
+        ["--random", "--s-max", "0", "--json"],
+        ["--family", "line", "--weights", "1,2,1", "--s-max", "-1"],
+        ["--family", "cycle", "--s-max", "0"],
+        ["--family", "all", "--s-max", "0"],
+    ],
+)
+def test_verify_empty_sweep_is_input_error(capsys, argv):
+    # a sweep over no trials or no exponents would pass without checking
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be" in err
+    assert "Traceback" not in err

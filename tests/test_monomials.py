@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_member,
+    reference_first_outside,
     reference_intersection,
     reference_minimal_rows,
     reference_product,
@@ -362,3 +363,135 @@ def test_kernel_matches_tuple_reference(case, s, data):
     assert a.contains_ideal(b) == all(covers(ra, row) for row in rb)
     for row in rb:
         assert a.contains(Monomial(zip(ambient, row))) == covers(ra, row)
+
+
+# --- divisor search across block boundaries --------------------------------
+#
+# The divisor search packs each complete run of 64 kept rows into one block
+# and scans the rest linearly, so these cases hold 63, 64, 65, 128, 129 and
+# 165 rows of several degrees: no block, blocks with and without a tail, and
+# rows kept after a block was built.
+
+X4 = ("x1", "x2", "x3", "x4")
+# (a, b, c, 2 * (8 - a - b - c)): no row divides another, and the degrees
+# run from 8 to 16, mixed along the list
+ANTICHAIN = [
+    (a, b, c, 2 * (8 - a - b - c))
+    for a in range(9)
+    for b in range(9 - a)
+    for c in range(9 - a - b)
+]
+BLOCK_SIZES = (63, 64, 65, 128, 129, len(ANTICHAIN))
+
+
+def scaled(rows, scale):
+    return [tuple(scale * e for e in row) for row in rows]
+
+
+# exponents up to 2**70
+@pytest.mark.parametrize("scale", (1, 2**66), ids=("scale1", "scale2^66"))
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_block_boundaries_match_tuple_reference(size, scale):
+    rows = scaled(ANTICHAIN[:size], scale)
+    # a multiple of every row, of larger degree than any row, is tested
+    # against all of them
+    multiples = [row[:3] + (row[3] + 17 * scale,) for row in rows]
+    a = from_rows(X4, rows + multiples)
+    ra = reference_minimal_rows(rows + multiples)
+    assert a._rows == ra
+    assert a.num_generators == len(ra) == size
+
+    b = from_rows(X4, [(scale, 0, 0, 0), (0, 0, 0, 2 * scale), (0, scale, scale, 0)])
+    assert (a * b)._rows == reference_product(ra, b._rows)
+
+    shifted = from_rows(
+        X4, [row[:3] + (row[3] + scale,) for row in scaled(ANTICHAIN[35:165], scale)]
+    )
+    assert a.intersect(shifted)._rows == reference_intersection(ra, shifted._rows)
+    assert shifted.intersect(a)._rows == reference_intersection(shifted._rows, ra)
+
+    whole = from_rows(X4, scaled(ANTICHAIN, scale))
+    for bigger in (a * b, shifted, whole):
+        expected = reference_first_outside(bigger._rows, ra)
+        assert a.contains_ideal(bigger) == (expected is None)
+        witness = bigger.first_generator_outside(a)
+        assert witness == (None if expected is None else Monomial(zip(X4, expected)))
+
+    # a generator missing from the other side is found when it comes first
+    # and when every block and the tail are searched before it
+    for missing in (0, size - 1):
+        rest = from_rows(X4, ra[:missing] + ra[missing + 1 :])
+        assert a.first_generator_outside(rest) == Monomial(zip(X4, ra[missing]))
+        assert not rest.contains_ideal(a)
+        assert a.contains_ideal(rest)
+
+
+def test_one_variable_ambient_keeps_the_least_power():
+    x = ("x",)
+    rows = [(e,) for e in range(3, 200)] + [(2**70,)]
+    a = from_rows(x, rows)
+    assert a._rows == reference_minimal_rows(rows) == ((3,),)
+    assert a.num_generators == 1
+    b = from_rows(x, [(2**70 - 1,)])
+    assert (a * b)._rows == reference_product(a._rows, b._rows)
+    assert a.intersect(b)._rows == reference_intersection(a._rows, b._rows)
+    assert a.contains_ideal(b) and not b.contains_ideal(a)
+    assert a.first_generator_outside(b) == Monomial({"x": 3})
+    assert b.first_generator_outside(a) is None
+
+
+@st.composite
+def hyperplane_rows(draw):
+    """An ambient of 1 to 5 variables and two large row lists over it.
+
+    Rows on a hyperplane sum(w_i * e_i) = level with positive weights w
+    divide no other row on it, and differing weights spread them over
+    several degrees; the last weight is 1, so every choice of the other
+    exponents below the level is on it.  A random subset of such rows, up to 200 of them, comes
+    with multiples of some of them and is scaled by 1 or 2**64.
+    """
+    n = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    weights = [rng.randint(1, 3) for _ in range(n - 1)] + [1]
+    level = {1: 9, 2: 250, 3: 45, 4: 27, 5: 18}[n]  # at least 84 rows
+
+    def on_level(i, left):
+        if i == n - 1:
+            if left % weights[i] == 0:
+                yield (left // weights[i],)
+            return
+        for e in range(left // weights[i] + 1):
+            for rest in on_level(i + 1, left - e * weights[i]):
+                yield (e,) + rest
+
+    plane = list(on_level(0, level))
+    rng.shuffle(plane)
+    size = draw(st.integers(1, 200))
+    rows = plane[:size]
+    multiples = [
+        tuple(e + rng.randint(0, 2) for e in row) for row in rng.sample(rows, len(rows) // 2)
+    ]
+    scale = draw(st.sampled_from((1, 2**64)))
+    a_rows = scaled(rows + multiples, scale)
+    b_rows = scaled(plane[size : size + draw(st.integers(0, 150))] + rows[::3], scale)
+    return tuple(f"x{i}" for i in range(1, n + 1)), a_rows, b_rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(hyperplane_rows())
+def test_block_kernel_matches_tuple_reference(case):
+    ambient, a_rows, b_rows = case
+    a, b = from_rows(ambient, a_rows), from_rows(ambient, b_rows)
+    ra, rb = reference_minimal_rows(a_rows), reference_minimal_rows(b_rows)
+    assert a._rows == ra and b._rows == rb
+    assert a.num_generators == len(ra)
+
+    small = from_rows(ambient, rb[:3])
+    assert (a * small)._rows == reference_product(ra, small._rows)
+    assert a.intersect(b)._rows == reference_intersection(ra, rb)
+
+    for x, y in ((a, b), (b, a), (a, a * small)):
+        expected = reference_first_outside(y._rows, x._rows)
+        assert x.contains_ideal(y) == (expected is None)
+        witness = y.first_generator_outside(x)
+        assert witness == (None if expected is None else Monomial(zip(ambient, expected)))

@@ -31,6 +31,7 @@ from conftest import (
     brute_force_member,
     component_q_sub_p,
     maximal_covers,
+    reference_power_comparison,
     reference_product,
 )
 
@@ -219,3 +220,32 @@ def test_compare_powers_broken_containment_is_typed(monkeypatch):
     )
     with pytest.raises(InvariantError, match="not inside the symbolic power"):
         compare_powers(g, 1)
+
+
+def assert_report_matches_reference(g, s_max):
+    report = compare_powers(g, s_max)
+    ideal = edge_ideal(g)
+    for row in report.per_s:
+        assert (row.witness, row.ordinary_generators, row.symbolic_generators) == (
+            reference_power_comparison(ideal**row.s, symbolic_power(g, row.s))
+        ), (g.to_json(), row.s)
+        assert row.equal == (row.witness is None)
+
+
+def test_compare_powers_matches_witness_oracle():
+    assert_report_matches_reference(LINE5, 3)
+    assert compare_powers(LINE5, 3).per_s[2].witness is not None
+
+
+def test_compare_powers_matches_witness_oracle_on_acceptance_sample(sample_200):
+    for g in sample_200:
+        assert_report_matches_reference(g, 3)
+
+
+def test_compare_powers_confirms_its_witness(monkeypatch):
+    # a membership test that accepts the witness contradicts the row search
+    monkeypatch.setattr(MonomialIdeal, "contains", lambda self, m: True)
+    with pytest.raises(InvariantError, match="witness"):
+        compare_powers(LINE5, 3)
+    # equal powers need no witness, so no membership test is made
+    assert compare_powers(LINE5, 2).all_equal

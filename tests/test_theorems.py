@@ -186,3 +186,21 @@ def test_random_regression_passes():
 
 def test_empty_regression_passes():
     assert RegressionSummary(seed=7, trials=0, failures=[]).passed
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.0])
+def test_sweep_bounds_below_one_are_rejected(bad):
+    lone = rooted_tree({}, "z", {"z": 2})
+    checks = [
+        lambda: check_full_cover_equality(oriented_cycle(3, (2, 2, 2)), bad),
+        # the skipping instances are rejected too, before any hypothesis test
+        lambda: check_full_cover_equality(oriented_line(3, (1, 2, 2)), s_max=bad),
+        lambda: check_cycle_equality((2, 2, 2), bad),
+        lambda: check_cycle_equality((2, 1, 2), bad),
+        lambda: check_broom_equality(lone, "z", 2, 2, bad),
+        lambda: random_regression(1, 3, s_max=bad),
+        lambda: random_regression(1, bad),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            check()
