@@ -24,11 +24,8 @@ from .monomials import Monomial, MonomialIdeal, intersect_all
 
 def edge_ideal(g: WeightedOrientedGraph) -> MonomialIdeal:
     """The ideal generated by tail * head^weight(head) over all edges."""
-    gens = [
-        Monomial({t: 1}) * Monomial({h: g.weight(h)})
-        for t, h in g.edges
-    ]
-    return MonomialIdeal(g.vertices, gens)
+    weights = g._weights
+    return MonomialIdeal(g.vertices, [Monomial({t: 1, h: weights[h]}) for t, h in g.edges])
 
 
 @dataclass(frozen=True)
@@ -52,10 +49,11 @@ def irreducible_component(
     cover = frozenset(cover)
     if not is_strong_cover(g, cover):
         raise ValueError(f"{sorted(cover)} is not a strong vertex cover")
-    parts = cover_partition(g, cover)
-    gens = [Monomial({v: 1}) for v in parts.l1]
-    gens += [Monomial({v: g.weight(v)}) for v in parts.l2 | parts.l3]
-    ideal = MonomialIdeal(g.vertices, gens)
+    l1 = cover_partition(g, cover).l1
+    weights = g._weights
+    ideal = MonomialIdeal(
+        g.vertices, [Monomial({v: 1 if v in l1 else weights[v]}) for v in cover]
+    )
     return IrreducibleComponent(cover=cover, ideal=ideal)
 
 

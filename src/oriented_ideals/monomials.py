@@ -13,7 +13,9 @@ generator in ambient order.  Ideal operations work on packed rows instead
 (the packed exponent vectors of Monagan and Pearce): each row becomes one
 Python int with one field of W bits per variable, variable 0 in the most
 significant field.  A field is ``vbits`` value bits topped by a guard bit
-that stays clear in every packed row.
+that stays clear in every packed row.  An ideal also keeps its rows packed
+as the minimalization that made it left them, with their ``vbits``, so an
+operation whose own layout has the same ``vbits`` packs nothing again.
 
 W is worked out per operation, never set: ``vbits`` is the bit length of
 n * e, where n is the ambient size and e the largest exponent the result
@@ -43,9 +45,11 @@ a slot except its guard bits and top bit and adding ``ones`` then carries
 into a slot's top bit exactly when all its guard bits survived, that is,
 when that slot's row divides x, and the carry stops at that top bit.
 Blocks are tested in list order, so a hit still ends the search early.
-The rows after the last complete block, fewer than 64, are scanned one
-at a time, so an ideal of fewer than 64 generators builds no block and
-pays nothing for them.
+The k < 64 rows after the last complete block form one partial block of
+k slots, with ``ones``, fill and top masks of k slots too: an empty slot
+would hold the zero row, which divides everything, so it must take no
+part.  Every row is tested through a block; an ideal of fewer than 64
+generators is one partial block.
 """
 
 from __future__ import annotations
@@ -186,11 +190,12 @@ class _Layout:
         vbits = max(n * maxexp, 1).bit_length()
         width = vbits + 1
         self.vbits = vbits
-        self.shifts = [width * (n - 1 - i) for i in range(n)]
-        self.guard = sum(1 << (s + vbits) for s in self.shifts)
+        self.shifts = list(range(width * (n - 1), -width, -width))
         self.mask = (1 << vbits) - 1
         self.modulus = (1 << width) - 1
         self.bits = width * n
+        # the low bit of every field, moved up to its guard bit
+        self.guard = ((1 << self.bits) - 1) // self.modulus << vbits
 
     def pack(self, rows: Iterable[tuple[int, ...]]) -> list[int]:
         shifts = self.shifts
@@ -199,31 +204,36 @@ class _Layout:
     def unpack(self, x: int) -> tuple[int, ...]:
         return tuple(map(self.mask.__and__, map(x.__rshift__, self.shifts)))
 
-    def minimal(self, packed: set[int]) -> tuple[tuple[int, ...], ...]:
-        """Rows of the minimal elements of packed, unpacked and sorted graded-lex.
+    def minimal(self, packed: set[int]) -> list[int]:
+        """The minimal elements of packed, sorted graded-lex.
 
         Rows are scanned in graded-lex order, and a row is kept unless a
         kept row of strictly smaller degree divides it; rows of one degree
-        cannot divide each other unless they are equal.  The kept rows of
-        smaller degree are searched through a _Divisors index, which grows
-        by the rows of each finished degree.
+        cannot divide each other unless they are equal.  The sort key of a
+        row x is one int, its degree above ``2**bits - 1 - x``, so it orders
+        as ``(degree, -x)``.  The kept rows of smaller degree are searched
+        through a _Divisors index, which grows by the rows of each finished
+        degree.
         """
-        modulus = self.modulus
+        bits, modulus = self.bits, self.modulus
+        low = (1 << bits) - 1
         kept: list[int] = []  # kept rows of strictly smaller degree
         current: list[int] = []  # kept rows of the degree being scanned
         smaller = _Divisors(self, [])
         divides = smaller.divides
-        degree = -1
-        for d, neg in sorted((x % modulus, -x) for x in packed):
-            if d != degree:
-                kept += current
-                smaller.extend(current)
-                current = []
-                degree = d
-            if not divides(-neg):
-                current.append(-neg)
+        limit = -1  # the largest key of the degree being scanned
+        for key in sorted([(x % modulus) << bits | (low ^ x) for x in packed]):
+            if key > limit:
+                limit = key | low
+                if current:
+                    kept += current
+                    smaller.extend(current)
+                    current = []
+            x = key & low ^ low
+            if not kept or not divides(x):
+                current.append(x)
         kept += current
-        return tuple(map(self.unpack, kept))
+        return kept
 
 
 BLOCK = 64  # rows per block int in a _Divisors index
@@ -233,62 +243,63 @@ class _Divisors:
     """Packed rows of one layout, searched for a divisor of a packed row.
 
     Every complete run of BLOCK rows, in the order the rows came, is one
-    block int with one slot of ``layout.bits + 1`` bits per row; the rows
-    after the last complete block form the tail and are scanned one by one.
+    block int with one slot of ``layout.bits + 1`` bits per row; ``masks``
+    holds its ``ones``, fill and top masks over BLOCK slots.  The k < BLOCK
+    rows after the last complete block, the tail, form the partial block
+    ``last``, held with the same masks over exactly its k slots; ``extend``
+    rebuilds it.
     """
 
-    __slots__ = ("guard", "slot", "blocks", "tail", "ones", "fill", "tops")
+    __slots__ = ("slot", "guard", "slot_fill", "blocks", "masks", "tail", "last")
 
     def __init__(self, layout: _Layout, rows: list[int]):
+        self.slot = slot = layout.bits + 1
         self.guard = layout.guard
-        self.slot = layout.bits + 1
+        # every bit of a slot but its guard bits and its top bit
+        self.slot_fill = (1 << (slot - 1)) - 1 - layout.guard
         self.blocks: list[int] = []
-        self.tail = rows  # not copied, and never changed in place
-        if len(rows) >= BLOCK:
-            self._fold()
+        self.tail: list[int] = []
+        self.last = (0, 0, 0, 0)  # no slots, so nothing divides
+        if rows:
+            self.extend(rows)
+
+    def _masks(self, k: int) -> tuple[int, int, int]:
+        """ones, fill and tops over the first k slots."""
+        slot = self.slot
+        ones = ((1 << (slot * k)) - 1) // ((1 << slot) - 1)
+        return ones, ones * self.slot_fill, ones << (slot - 1)
 
     def extend(self, rows: list[int]) -> None:
         """Add rows after the ones already held."""
-        self.tail = self.tail + rows
-        if len(self.tail) >= BLOCK:
-            self._fold()
-
-    def _fold(self) -> None:
-        """Move every complete run of BLOCK tail rows into a block."""
         slot = self.slot
-        if not self.blocks:
-            self.ones = ((1 << (slot * BLOCK)) - 1) // ((1 << slot) - 1)
-            self.tops = self.ones << (slot - 1)
-            self.fill = self.ones * ((1 << (slot - 1)) - 1 - self.guard)
         offsets = range(0, slot * BLOCK, slot)
-        tail = self.tail
+        tail = self.tail + rows
         full = len(tail) - len(tail) % BLOCK
-        for start in range(0, full, BLOCK):
-            self.blocks.append(sum(map(lshift, tail[start : start + BLOCK], offsets)))
-        self.tail = tail[full:]
+        if full:
+            if not self.blocks:
+                self.masks = self._masks(BLOCK)
+            for start in range(0, full, BLOCK):
+                self.blocks.append(sum(map(lshift, tail[start : start + BLOCK], offsets)))
+            tail = tail[full:]
+        self.tail = tail
+        self.last = (sum(map(lshift, tail, offsets)), *self._masks(len(tail)))
 
     def divides(self, x: int) -> bool:
         """Some held row divides the packed row x."""
-        guard = self.guard
-        xg = x | guard
-        blocks = self.blocks
-        if blocks:
+        xg = x | self.guard
+        last, ones, fill, tops = self.last
+        if self.blocks:
             # x in every slot; a slot carries into its top bit iff its row
             # divides x
-            spread = xg * self.ones
-            fill, ones, tops = self.fill, self.ones, self.tops
-            for block in blocks:
-                if ((spread - block) | fill) + ones & tops:
+            bones, bfill, btops = self.masks
+            spread = xg * bones
+            for block in self.blocks:
+                if ((spread - block) | bfill) + bones & btops:
                     return True
-        for k in self.tail:
-            if (xg - k) & guard == guard:
-                return True
-        return False
-
-
-def _canonical(n: int, rows: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    layout = _Layout(n, _max_exponent(rows))
-    return layout.minimal(set(layout.pack(rows)))
+        else:
+            spread = xg * ones
+        # slots of the spread past the partial block's get no mask bit
+        return ((spread - last) | fill) + ones & tops != 0
 
 
 class MonomialIdeal:
@@ -297,9 +308,16 @@ class MonomialIdeal:
     Generators are minimalized and sorted on construction, so structural
     equality of two ideals over the same ambient is ideal equality.  The
     zero ideal has no generators; the unit ideal is generated by 1.
+
+    Besides its rows, an ideal keeps them packed as minimalization left
+    them, with the value width ``_vbits`` of that packing; an operation
+    whose layout has that width reuses the packing.  Its largest exponent
+    is worked out once, when an operation first needs it.
     """
 
-    __slots__ = ("_ambient", "_position", "_rows", "_gens", "_hash")
+    __slots__ = (
+        "_ambient", "_position", "_rows", "_packed", "_vbits", "_max", "_gens", "_hash",
+    )
 
     def __init__(
         self,
@@ -315,9 +333,8 @@ class MonomialIdeal:
             self._row(Monomial.from_str(g) if isinstance(g, str) else g)
             for g in generators
         ]
-        self._rows = _canonical(len(ambient), rows)
-        self._gens: tuple[Monomial, ...] | None = None
-        self._hash: int | None = None
+        layout = _Layout(len(ambient), _max_exponent(rows))
+        self._keep(layout, layout.minimal(set(layout.pack(rows))))
 
     @classmethod
     def zero(cls, ambient: Sequence[str]) -> MonomialIdeal:
@@ -327,15 +344,34 @@ class MonomialIdeal:
     def unit(cls, ambient: Sequence[str]) -> MonomialIdeal:
         return cls(ambient, (Monomial(),))
 
-    def _with_rows(self, rows: tuple[tuple[int, ...], ...]) -> MonomialIdeal:
-        """An ideal over this ambient whose rows are already canonical."""
+    def _keep(self, layout: _Layout, kept: list[int]) -> None:
+        """Take the rows that layout.minimal kept, packed and unpacked."""
+        self._rows = tuple(map(layout.unpack, kept))
+        self._packed = kept  # never changed in place
+        self._vbits = layout.vbits
+        self._max: int | None = None
+        self._gens: tuple[Monomial, ...] | None = None
+        self._hash: int | None = None
+
+    def _minimal(self, layout: _Layout, packed: set[int]) -> MonomialIdeal:
+        """The ideal over this ambient generated by the packed rows."""
         ideal = MonomialIdeal.__new__(MonomialIdeal)
         ideal._ambient = self._ambient
         ideal._position = self._position
-        ideal._rows = rows
-        ideal._gens = None
-        ideal._hash = None
+        ideal._keep(layout, layout.minimal(packed))
         return ideal
+
+    def _maxexp(self) -> int:
+        """The largest exponent of any generator, worked out on first use."""
+        if self._max is None:
+            self._max = _max_exponent(self._rows)
+        return self._max
+
+    def _pack(self, layout: _Layout) -> list[int]:
+        """The rows packed by layout; the kept packing when its width matches."""
+        if layout.vbits == self._vbits:
+            return self._packed
+        return layout.pack(self._rows)
 
     def _monomial(self, row: tuple[int, ...]) -> Monomial:
         return Monomial({v: e for v, e in zip(self._ambient, row) if e})
@@ -380,13 +416,11 @@ class MonomialIdeal:
                 f"ambient mismatch: {self._ambient} vs {other._ambient}"
             )
 
-    def _first_outside(self, rows: Sequence[tuple[int, ...]]) -> int | None:
-        """Index of the first of rows that self does not contain, if any."""
-        layout = _Layout(
-            len(self._ambient), max(_max_exponent(self._rows), _max_exponent(rows))
-        )
-        divides = _Divisors(layout, layout.pack(self._rows)).divides
-        for i, x in enumerate(layout.pack(rows)):
+    def _first_outside(self, other: MonomialIdeal) -> int | None:
+        """Index of the first generator of other that self does not contain, if any."""
+        layout = _Layout(len(self._ambient), max(self._maxexp(), other._maxexp()))
+        divides = _Divisors(layout, self._pack(layout)).divides
+        for i, x in enumerate(other._pack(layout)):
             if not divides(x):
                 return i
         return None
@@ -396,12 +430,14 @@ class MonomialIdeal:
         if isinstance(m, str):
             m = Monomial.from_str(m)
         # variables outside the ambient cannot matter: no generator uses them
-        return self._first_outside([tuple(m[v] for v in self._ambient)]) is None
+        row = [m[v] for v in self._ambient]
+        layout = _Layout(len(row), max(self._maxexp(), max(row, default=0)))
+        return _Divisors(layout, self._pack(layout)).divides(layout.pack([row])[0])
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
         """True iff other is a subideal of self."""
         self._require_same_ambient(other)
-        return self._first_outside(other._rows) is None
+        return self._first_outside(other) is None
 
     def first_generator_outside(self, other: MonomialIdeal) -> Monomial | None:
         """The first generator of self, in canonical order, not in other.
@@ -410,7 +446,7 @@ class MonomialIdeal:
         built as a Monomial.
         """
         self._require_same_ambient(other)
-        i = other._first_outside(self._rows)
+        i = other._first_outside(self)
         return None if i is None else self._monomial(self._rows[i])
 
     def __le__(self, other: MonomialIdeal) -> bool:
@@ -422,20 +458,17 @@ class MonomialIdeal:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
         self._require_same_ambient(other)
-        rows = self._rows + other._rows
-        return self._with_rows(_canonical(len(self._ambient), rows))
+        layout = _Layout(len(self._ambient), max(self._maxexp(), other._maxexp()))
+        return self._minimal(layout, {*self._pack(layout), *other._pack(layout)})
 
     def __mul__(self, other: MonomialIdeal) -> MonomialIdeal:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
         self._require_same_ambient(other)
         # fields must hold the sum of the largest exponents on each side
-        layout = _Layout(
-            len(self._ambient), _max_exponent(self._rows) + _max_exponent(other._rows)
-        )
-        theirs = layout.pack(other._rows)
-        products = {x + y for x in layout.pack(self._rows) for y in theirs}
-        return self._with_rows(layout.minimal(products))
+        layout = _Layout(len(self._ambient), self._maxexp() + other._maxexp())
+        theirs = other._pack(layout)
+        return self._minimal(layout, {x + y for x in self._pack(layout) for y in theirs})
 
     def __pow__(self, s: int) -> MonomialIdeal:
         """s-fold product, minimalizing after each step; s=0 gives the unit ideal."""
@@ -456,13 +489,10 @@ class MonomialIdeal:
         its multiple, so only the remaining generators are paired.
         """
         self._require_same_ambient(other)
-        layout = _Layout(
-            len(self._ambient),
-            max(_max_exponent(self._rows), _max_exponent(other._rows)),
-        )
+        layout = _Layout(len(self._ambient), max(self._maxexp(), other._maxexp()))
         guard, vbits = layout.guard, layout.vbits
-        mine = layout.pack(self._rows)
-        theirs = layout.pack(other._rows)
+        mine = self._pack(layout)
+        theirs = other._pack(layout)
         in_theirs = _Divisors(layout, theirs).divides
         in_mine = _Divisors(layout, mine).divides
         out: set[int] = set()
@@ -484,7 +514,7 @@ class MonomialIdeal:
                 t = (xg - y) & guard  # guard bits where x's field >= y's
                 m = t - (t >> vbits)  # ... widened to value-bit masks
                 out.add((x & m) | (y & ~m))
-        return self._with_rows(layout.minimal(out))
+        return self._minimal(layout, out)
 
     def saturate(self, variables: Iterable[str]) -> MonomialIdeal:
         """Saturation with respect to the product of the given variables.
@@ -497,13 +527,11 @@ class MonomialIdeal:
             if v not in self._position:
                 raise ValueError(f"{v!r} is not an ambient variable")
             idx.add(self._position[v])
-        layout = _Layout(len(self._ambient), _max_exponent(self._rows))
+        layout = _Layout(len(self._ambient), self._maxexp())
         keep = sum(
             layout.mask << s for i, s in enumerate(layout.shifts) if i not in idx
         )
-        return self._with_rows(
-            layout.minimal({x & keep for x in layout.pack(self._rows)})
-        )
+        return self._minimal(layout, {x & keep for x in self._pack(layout)})
 
     def with_ambient(self, ambient: Sequence[str]) -> MonomialIdeal:
         """The same generators viewed in a different ambient ring."""

@@ -95,7 +95,11 @@ def _skip(check: str, instance: str, notice: str) -> CheckResult:
 
 
 def _require_positive(name: str, value: int) -> None:
-    """A sweep bound below 1 would check nothing and still pass."""
+    """Reject a sweep bound or a weight below 1.
+
+    A sweep bound below 1 would check nothing and still pass, and a weight
+    below 1 is no weighting at all, so neither may become a skip.
+    """
     if not isinstance(value, int) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
@@ -154,6 +158,8 @@ def check_cycle_equality(weights: Sequence[int], s_max: int = 3) -> CheckResult:
     _require_positive("s_max", s_max)
     name = "cycle_equality"
     weights = tuple(weights)
+    for w in weights:
+        _require_positive("cycle weight", w)
     instance = f"cycle weights={weights}"
     if len(weights) < 3:
         return _skip(name, instance, "a cycle needs at least three vertices")
@@ -189,6 +195,8 @@ def check_broom_equality(
         through y:  (y^w(y), y*root^w) + tree edge ideal
     """
     _require_positive("s_max", s_max)
+    for weight_name, w in (("w_x", w_x), ("w_y", w_y), ("w_z", w_z)):
+        _require_positive(weight_name, w)
     name = "broom_equality"
     instance = (
         f"broom w_y={w_y} w_z={w_z} tree_vertices={len(tree.vertices)} root={root!r}"

@@ -277,3 +277,22 @@ def test_verify_empty_sweep_is_input_error(capsys, argv):
     assert out == ""
     assert "must be" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "cycle", "--weights", "2,2,0"],
+        ["--family", "cycle", "--weights", "2,-1,2", "--json"],
+        ["--family", "forest", "--w-y", "0"],
+        ["--family", "forest", "--w-y", "-3", "--json"],
+        ["--family", "all", "--w-y", "0"],
+    ],
+)
+def test_verify_weight_below_one_is_input_error(capsys, argv):
+    # a weight below 1 is bad input, not an instance outside a hypothesis
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be an integer >= 1" in err
+    assert "Traceback" not in err

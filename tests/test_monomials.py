@@ -368,19 +368,29 @@ def test_kernel_matches_tuple_reference(case, s, data):
 # --- divisor search across block boundaries --------------------------------
 #
 # The divisor search packs each complete run of 64 kept rows into one block
-# and scans the rest linearly, so these cases hold 63, 64, 65, 128, 129 and
-# 165 rows of several degrees: no block, blocks with and without a tail, and
-# rows kept after a block was built.
+# and the rows after the last one into a partial block, so these cases hold
+# 63, 64, 65, 128, 129 and 165 rows of several degrees: a partial block alone,
+# full blocks with and without a partial one, and rows kept after a block was
+# built.
 
 X4 = ("x1", "x2", "x3", "x4")
-# (a, b, c, 2 * (8 - a - b - c)): no row divides another, and the degrees
-# run from 8 to 16, mixed along the list
-ANTICHAIN = [
-    (a, b, c, 2 * (8 - a - b - c))
-    for a in range(9)
-    for b in range(9 - a)
-    for c in range(9 - a - b)
-]
+
+
+def antichain(level):
+    """(a, b, c, 2 * (level - a - b - c)) with a + b + c <= level.
+
+    No row divides another, and the degrees run from level to 2 * level,
+    mixed along the list.
+    """
+    return [
+        (a, b, c, 2 * (level - a - b - c))
+        for a in range(level + 1)
+        for b in range(level + 1 - a)
+        for c in range(level + 1 - a - b)
+    ]
+
+
+ANTICHAIN = antichain(8)  # 165 rows
 BLOCK_SIZES = (63, 64, 65, 128, 129, len(ANTICHAIN))
 
 
@@ -424,6 +434,70 @@ def test_block_boundaries_match_tuple_reference(size, scale):
         assert a.first_generator_outside(rest) == Monomial(zip(X4, ra[missing]))
         assert not rest.contains_ideal(a)
         assert a.contains_ideal(rest)
+
+
+# 220 rows: two full blocks and a partial block of any size after them
+WIDE_ANTICHAIN = antichain(9)
+
+
+@pytest.mark.parametrize("full", (0, 1, 2))
+def test_partial_last_block_of_every_size(full):
+    canonical = reference_minimal_rows(WIDE_ANTICHAIN)
+    assert len(canonical) == len(WIDE_ANTICHAIN)
+    for k in range(1, 64):
+        size = 64 * full + k
+        rows = WIDE_ANTICHAIN[:size]
+        # the multiples are of larger degree than every row, so minimalization
+        # tests them against the whole index, partial block included
+        multiples = [row[:3] + (row[3] + 19,) for row in rows]
+        a = from_rows(X4, rows + multiples)
+        kept = set(rows)
+        ra = tuple(row for row in canonical if row in kept)
+        assert a._rows == ra, size
+
+        # in an antichain, each generator lies in the ideal only by itself,
+        # so every slot of the partial block must take part, and no other
+        assert a.contains_ideal(a)
+        for missing in (0, size - 1):
+            rest = from_rows(X4, ra[:missing] + ra[missing + 1 :])
+            assert a.first_generator_outside(rest) == Monomial(zip(X4, ra[missing])), size
+            assert not rest.contains_ideal(a)
+            assert not rest.contains(a.generators[missing])
+
+
+# Each step below packs at a width worked out from its own operands, so a
+# product's kept packing (fields for 2 * scale) is refused by the next step
+# whenever n * e there has another bit length: 4 * scale and 16 * scale do.
+@pytest.mark.parametrize("scale", (1, 3, 2**40))
+def test_kept_packing_is_refused_when_the_width_changes(scale):
+    s = scale
+    a_rows = [(s, 0, 0, 0), (0, s, 0, 0)]
+    b_rows = [(0, 0, s, 0), (0, 0, 0, s)]
+    ab = from_rows(X4, a_rows) * from_rows(X4, b_rows)
+    rab = reference_product(a_rows, b_rows)
+    assert ab._rows == rab
+    assert ab._vbits == (8 * s).bit_length()
+
+    narrow = from_rows(X4, [(s, s, 0, 0), (0, 0, s, 0), (0, s, 0, s)])
+    wide = from_rows(X4, [(4 * s, 0, 0, 0), (0, 0, 0, 3 * s), (0, s, 2 * s, 0)])
+    for c in (narrow, wide):
+        rc = c._rows
+        assert ab.intersect(c)._rows == reference_intersection(rab, rc)
+        assert c.intersect(ab)._rows == reference_intersection(rc, rab)
+        assert (ab.intersect(c) * c)._rows == reference_product(
+            reference_intersection(rab, rc), rc
+        )
+        assert (ab + c)._rows == reference_minimal_rows(rab + rc)
+        for x, rx, y, ry in ((c, rc, ab, rab), (ab, rab, c, rc)):
+            expected = reference_first_outside(ry, rx)
+            assert x.contains_ideal(y) == (expected is None)
+            witness = y.first_generator_outside(x)
+            assert witness == (None if expected is None else Monomial(zip(X4, expected)))
+    saturated = [(0,) + row[1:] for row in rab]
+    assert ab.saturate({"x1"})._rows == reference_minimal_rows(saturated)
+    assert ab.saturate({"x1"}).intersect(narrow)._rows == reference_intersection(
+        reference_minimal_rows(saturated), narrow._rows
+    )
 
 
 def test_one_variable_ambient_keeps_the_least_power():
@@ -487,10 +561,18 @@ def test_block_kernel_matches_tuple_reference(case):
     assert a.num_generators == len(ra)
 
     small = from_rows(ambient, rb[:3])
-    assert (a * small)._rows == reference_product(ra, small._rows)
+    product = a * small
+    rp = reference_product(ra, small._rows)
+    assert product._rows == rp
     assert a.intersect(b)._rows == reference_intersection(ra, rb)
 
-    for x, y in ((a, b), (b, a), (a, a * small)):
+    # each step of a chain packs at its own width, which may differ from the
+    # width the product kept
+    assert product.intersect(small)._rows == reference_intersection(rp, small._rows)
+    saturated = [(0,) + row[1:] for row in rp]
+    assert product.saturate(ambient[:1])._rows == reference_minimal_rows(saturated)
+
+    for x, y in ((a, b), (b, a), (a, product), (product, small)):
         expected = reference_first_outside(y._rows, x._rows)
         assert x.contains_ideal(y) == (expected is None)
         witness = y.first_generator_outside(x)

@@ -188,6 +188,25 @@ def test_empty_regression_passes():
     assert RegressionSummary(seed=7, trials=0, failures=[]).passed
 
 
+@pytest.mark.parametrize("bad", [0, -3])
+def test_weights_below_one_are_rejected(bad):
+    lone = rooted_tree({}, "z", {"z": 2})
+    checks = [
+        lambda: check_cycle_equality((2, 2, bad)),
+        # rejected before the vertex count is tested
+        lambda: check_cycle_equality((bad, 2)),
+        lambda: check_broom_equality(lone, "z", bad, 2),
+        lambda: check_broom_equality(lone, "z", 2, bad),
+        lambda: check_broom_equality(lone, "z", 2, 2, w_x=bad),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            check()
+    # a weight of 1 where 2 is needed is outside the statement, not an error
+    assert check_cycle_equality((2, 1, 2)).status == "skip"
+    assert check_broom_equality(lone, "z", 1, 2).status == "skip"
+
+
 @pytest.mark.parametrize("bad", [0, -1, 2.0])
 def test_sweep_bounds_below_one_are_rejected(bad):
     lone = rooted_tree({}, "z", {"z": 2})
