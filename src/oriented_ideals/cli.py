@@ -46,8 +46,11 @@ EXIT_CAP_EXCEEDED = 3
 
 
 def _load_graph(path: str) -> WeightedOrientedGraph:
-    with open(path) as fh:
-        data = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
     return WeightedOrientedGraph.from_json(data)
 
 

@@ -15,13 +15,15 @@ the independent sets, which a depth-first walk over per-vertex neighbor
 bitmasks lists once each, so the cost follows the number of covers rather
 than 2^n.  Each vertex cover then goes through the one strong-cover test,
 ``is_strong_cover``.  The walk is guarded by a cap on the vertex count,
-since a graph can still have exponentially many covers.
+since a graph can still have exponentially many covers.  The cap is 20
+vertices unless the ``ORIENTED_IDEAL_CAP`` environment variable sets it;
+that variable is the only setting, for the library and the CLI alike.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .graphs import WeightedOrientedGraph
@@ -34,32 +36,23 @@ class CapExceededError(RuntimeError):
     """Raised when a graph is too large for cover enumeration."""
 
 
-def _resolve_cap(cap: int | None) -> int:
-    if cap is not None:
-        if cap < 0:
-            raise ValueError(f"cap must be a nonnegative integer, got {cap}")
-        return cap
+def _check_cap(g: WeightedOrientedGraph) -> None:
     env = os.environ.get(CAP_ENV_VAR)
-    if env is None:
-        return DEFAULT_ENUMERATION_CAP
-    bad = ValueError(f"{CAP_ENV_VAR} must be a nonnegative integer, got {env!r}")
-    try:
-        limit = int(env)
-    except ValueError:
-        raise bad from None
-    if limit < 0:
-        raise bad
-    return limit
-
-
-def _check_cap(g: WeightedOrientedGraph, cap: int | None) -> None:
-    limit = _resolve_cap(cap)
+    limit = DEFAULT_ENUMERATION_CAP
+    if env is not None:
+        bad = ValueError(f"{CAP_ENV_VAR} must be a nonnegative integer, got {env!r}")
+        try:
+            limit = int(env)
+        except ValueError:
+            raise bad from None
+        if limit < 0:
+            raise bad
     n = len(g.vertices)
     if n > limit:
         raise CapExceededError(
             f"graph has {n} vertices but cover enumeration is capped at {limit}; "
-            f"raise the cap via the {CAP_ENV_VAR} environment variable or the cap "
-            "argument if you really want an exponential scan"
+            f"raise the cap via the {CAP_ENV_VAR} environment variable "
+            "if you really want an exponential scan"
         )
 
 
@@ -79,6 +72,14 @@ class CoverPartition:
             "L2": list(g.sort_vertices(self.l2)),
             "L3": list(g.sort_vertices(self.l3)),
         }
+
+    def is_strong(self, g: WeightedOrientedGraph) -> bool:
+        """True iff every L3 vertex has an in-neighbor of weight >= 2 in L2 or L3."""
+        feeders = self.cover - self.l1
+        weights = g._weights
+        return all(
+            any(u in feeders and weights[u] >= 2 for u in g._in[v]) for v in self.l3
+        )
 
 
 def is_vertex_cover(g: WeightedOrientedGraph, cover: Iterable[str]) -> bool:
@@ -115,14 +116,7 @@ def is_strong_cover(g: WeightedOrientedGraph, cover: Iterable[str]) -> bool:
     in L2 or L3.  A set that is not a vertex cover returns False.
     """
     cover = frozenset(cover)
-    if not is_vertex_cover(g, cover):
-        return False
-    parts = cover_partition(g, cover)
-    feeders = cover - parts.l1
-    weights = g._weights
-    return all(
-        any(u in feeders and weights[u] >= 2 for u in g._in[v]) for v in parts.l3
-    )
+    return is_vertex_cover(g, cover) and cover_partition(g, cover).is_strong(g)
 
 
 class _CoverMasks:
@@ -165,24 +159,19 @@ class _CoverMasks:
     def cover(self, mask: int) -> frozenset[str]:
         return frozenset([v for v, b in self.bit.items() if mask & b])
 
-    def mask(self, cover: Iterable[str]) -> int:
-        return sum(self.bit[v] for v in cover)
-
 
 def _sorted_covers(covers: Iterable[tuple[int, frozenset[str]]]) -> list[frozenset[str]]:
     """The covers of (mask, cover) pairs, by size and then by vertex position."""
     return [c for _, c in sorted(covers, key=lambda mc: (mc[0].bit_count(), -mc[0]))]
 
 
-def enumerate_strong_covers(
-    g: WeightedOrientedGraph, cap: int | None = None
-) -> list[frozenset[str]]:
+def enumerate_strong_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
     """All strong vertex covers, sorted by size then by vertex position.
 
     An edgeless graph has the empty set as its one strong cover (every
     nonempty set would have an unfed L3 vertex).
     """
-    _check_cap(g, cap)
+    _check_cap(g)
     masks = _CoverMasks(g)
     strong = []
     for mask, _ in masks.vertex_covers():
@@ -192,35 +181,37 @@ def enumerate_strong_covers(
     return _sorted_covers(strong)
 
 
-def maximal_strong_covers(
-    g: WeightedOrientedGraph, cap: int | None = None
+def _maximal_covers(
+    g: WeightedOrientedGraph, covers: Sequence[frozenset[str]]
 ) -> list[frozenset[str]]:
-    """The inclusion-maximal strong covers, in the same deterministic order.
+    """The inclusion-maximal covers of a list sorted by size, in list order.
 
-    Walking the strong covers largest first, a cover is maximal iff it lies
-    in no cover already kept: every strong cover lies in a maximal one, and
-    a larger cover is never inside a smaller one.
+    Walking the covers largest first, a cover is maximal iff it lies in no
+    cover already kept: every cover lies in a maximal one, and a larger cover
+    is never inside a smaller one.
     """
-    strong = enumerate_strong_covers(g, cap)
-    masks = _CoverMasks(g)
+    position = g._position
     kept: list[tuple[int, frozenset[str]]] = []
-    for cover in reversed(strong):
-        mask = masks.mask(cover)
+    for cover in reversed(covers):
+        mask = sum(1 << position[v] for v in cover)
         if all(mask & ~other for other, _ in kept):
             kept.append((mask, cover))
     return [c for _, c in reversed(kept)]
 
 
-def minimal_vertex_covers(
-    g: WeightedOrientedGraph, cap: int | None = None
-) -> list[frozenset[str]]:
+def maximal_strong_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
+    """The inclusion-maximal strong covers, in the same deterministic order."""
+    return _maximal_covers(g, enumerate_strong_covers(g))
+
+
+def minimal_vertex_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
     """The inclusion-minimal vertex covers, sorted by size then position.
 
     A cover is minimal exactly when each of its vertices has a neighbor
     outside the cover, that is, when the independent set left outside is
     maximal; for the edgeless graph that leaves the empty cover.
     """
-    _check_cap(g, cap)
+    _check_cap(g)
     masks = _CoverMasks(g)
     return _sorted_covers(
         (mask, masks.cover(mask))

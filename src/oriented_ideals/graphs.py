@@ -171,10 +171,13 @@ class WeightedOrientedGraph:
         Vertices missing from "weights" default to weight 1, with a warning.
         """
         try:
-            vertices = list(data["vertices"])
-            raw_edges = list(data["edges"])
+            vertices = data["vertices"]
+            raw_edges = data["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"graph object needs vertices and edges: {exc}") from None
+        for key, value in (("vertices", vertices), ("edges", raw_edges)):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key} must be an array, got {value!r}")
         for v in vertices:
             if not isinstance(v, str):
                 raise ValueError(f"vertex names must be strings, got {v!r}")
@@ -295,17 +298,15 @@ def forest_broom(
     tree: WeightedOrientedGraph,
     root: str,
     *,
-    w_x: int = 2,
     x_name: str = "x",
     y_name: str = "y",
-    weights: Mapping[str, int] | None = None,
 ) -> WeightedOrientedGraph:
     """Attach a handle x -> y -> root in front of a tree oriented away from root.
 
-    The optional weights mapping overrides tree vertex weights; w_z then
-    overrides the weight of the root itself.  Non-sink vertices of the
-    result must have weight >= 2 (sinks may keep weight 1); w_x is stored
-    but inert, since x is a source.
+    The tree's own weights are kept, except that w_z replaces the root's.
+    Non-sink vertices of the result must have weight >= 2 (sinks may keep
+    weight 1).  x is a source, so its weight never enters the edge ideal;
+    it is stored as 2.
     """
     tree._check_vertex(root)
     if tree.in_neighbors(root):
@@ -322,10 +323,8 @@ def forest_broom(
             raise ValueError(f"handle vertex {fresh!r} collides with a tree vertex")
 
     wmap = tree.weights
-    if weights:
-        wmap.update(weights)
     wmap[root] = w_z
-    wmap[x_name] = w_x
+    wmap[x_name] = 2
     wmap[y_name] = w_y
 
     vertices = (x_name, y_name) + tree.vertices

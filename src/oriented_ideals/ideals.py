@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .covers import cover_partition, enumerate_strong_covers, is_strong_cover
+from .covers import cover_partition, enumerate_strong_covers, is_vertex_cover
 from .graphs import WeightedOrientedGraph
 from .monomials import Monomial, MonomialIdeal, intersect_all
 
@@ -47,9 +47,10 @@ def irreducible_component(
 ) -> IrreducibleComponent:
     """The irreducible ideal attached to a strong cover."""
     cover = frozenset(cover)
-    if not is_strong_cover(g, cover):
+    parts = cover_partition(g, cover) if is_vertex_cover(g, cover) else None
+    if parts is None or not parts.is_strong(g):
         raise ValueError(f"{sorted(cover)} is not a strong vertex cover")
-    l1 = cover_partition(g, cover).l1
+    l1 = parts.l1
     weights = g._weights
     ideal = MonomialIdeal(
         g.vertices, [Monomial({v: 1 if v in l1 else weights[v]}) for v in cover]
@@ -57,16 +58,14 @@ def irreducible_component(
     return IrreducibleComponent(cover=cover, ideal=ideal)
 
 
-def irreducible_decomposition(
-    g: WeightedOrientedGraph, cap: int | None = None
-) -> list[IrreducibleComponent]:
+def irreducible_decomposition(g: WeightedOrientedGraph) -> list[IrreducibleComponent]:
     """Irreducible components of the edge ideal, one per strong cover.
 
     No component contains the intersection of the others, so the list is
     the irredundant decomposition as it stands.  An edgeless graph has the
     zero ideal and no components.
     """
-    return [irreducible_component(g, c) for c in enumerate_strong_covers(g, cap) if c]
+    return [irreducible_component(g, c) for c in enumerate_strong_covers(g) if c]
 
 
 def decomposition_intersection(

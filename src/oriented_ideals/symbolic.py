@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .covers import is_strong_cover, maximal_strong_covers
+from .covers import _maximal_covers, is_strong_cover, maximal_strong_covers
 from .graphs import WeightedOrientedGraph
-from .ideals import IrreducibleComponent, edge_ideal, irreducible_decomposition
+from .ideals import edge_ideal, irreducible_decomposition
 from .monomials import Monomial, MonomialIdeal, intersect_all
 
 
@@ -41,14 +41,7 @@ def q_sub_p(g: WeightedOrientedGraph, prime: frozenset[str]) -> MonomialIdeal:
     return edge_ideal(g).saturate(set(g.vertices) - prime)
 
 
-def _maximal_primes(components: Sequence[IrreducibleComponent]) -> list[frozenset[str]]:
-    covers = [c.cover for c in components]
-    return [c for c in covers if not any(c < other for other in covers)]
-
-
-def symbolic_power(
-    g: WeightedOrientedGraph, s: int, *, cap: int | None = None
-) -> MonomialIdeal:
+def symbolic_power(g: WeightedOrientedGraph, s: int) -> MonomialIdeal:
     """The s-th symbolic power of the edge ideal, localizing before the power.
 
     The zero ideal is its own symbolic power.
@@ -58,14 +51,12 @@ def symbolic_power(
     ideal = edge_ideal(g)
     if ideal.is_zero:
         return ideal
-    primes = _maximal_primes(irreducible_decomposition(g, cap))
+    primes = _maximal_covers(g, [c.cover for c in irreducible_decomposition(g)])
     pieces = [q_sub_p(g, p) ** s for p in primes]
     return intersect_all(pieces, ambient=g.vertices)
 
 
-def symbolic_power_oracle(
-    g: WeightedOrientedGraph, s: int, cap: int | None = None
-) -> MonomialIdeal:
+def symbolic_power_oracle(g: WeightedOrientedGraph, s: int) -> MonomialIdeal:
     """The s-th symbolic power by localization at the maximal primes.
 
     Computes I^s once and saturates it by the complement of each maximal
@@ -79,7 +70,7 @@ def symbolic_power_oracle(
     if ideal.is_zero:
         return ideal
     power = ideal ** s
-    primes = [p for p in maximal_strong_covers(g, cap) if p]
+    primes = [p for p in maximal_strong_covers(g) if p]
     pieces = [power.saturate(set(g.vertices) - p) for p in primes]
     return intersect_all(pieces, ambient=g.vertices)
 
@@ -134,9 +125,7 @@ class EqualityReport:
         }
 
 
-def compare_powers(
-    g: WeightedOrientedGraph, s_max: int, cap: int | None = None
-) -> EqualityReport:
+def compare_powers(g: WeightedOrientedGraph, s_max: int) -> EqualityReport:
     """Compare ordinary and symbolic powers for every s up to s_max.
 
     The containment I^s inside the symbolic power always holds here; a
@@ -149,8 +138,8 @@ def compare_powers(
     if not isinstance(s_max, int) or s_max < 1:
         raise ValueError(f"s_max must be an integer >= 1, got {s_max!r}")
     ideal = edge_ideal(g)
-    components = irreducible_decomposition(g, cap) if not ideal.is_zero else []
-    primes = _maximal_primes(components)
+    components = irreducible_decomposition(g) if not ideal.is_zero else []
+    primes = _maximal_covers(g, [c.cover for c in components])
     base = {p: q_sub_p(g, p) for p in primes}
     running = dict(base)
 

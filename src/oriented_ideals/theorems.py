@@ -104,9 +104,7 @@ def _require_positive(name: str, value: int) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def check_full_cover_equality(
-    g: WeightedOrientedGraph, s_max: int = 3, cap: int | None = None
-) -> CheckResult:
+def check_full_cover_equality(g: WeightedOrientedGraph, s_max: int = 3) -> CheckResult:
     """All weights >= 2: the full vertex set is strong iff there is no source,
     and when it is strong the powers agree.
 
@@ -131,7 +129,7 @@ def check_full_cover_equality(
     }
     prediction = "full cover strong iff no sources"
     if full_strong:
-        report = compare_powers(g, s_max, cap)
+        report = compare_powers(g, s_max)
         details["comparison"] = report.to_json()
         prediction += f"; powers equal up to s={s_max}"
         passed = equivalence_ok and report.all_equal
@@ -184,8 +182,6 @@ def check_broom_equality(
     w_y: int,
     w_z: int,
     s_max: int = 3,
-    *,
-    w_x: int = 2,
 ) -> CheckResult:
     """Handle x -> y -> root in front of a tree: powers agree, and the strong
     covers split into the family through x (with root, without y) and the
@@ -195,14 +191,14 @@ def check_broom_equality(
         through y:  (y^w(y), y*root^w) + tree edge ideal
     """
     _require_positive("s_max", s_max)
-    for weight_name, w in (("w_x", w_x), ("w_y", w_y), ("w_z", w_z)):
+    for weight_name, w in (("w_y", w_y), ("w_z", w_z)):
         _require_positive(weight_name, w)
     name = "broom_equality"
     instance = (
         f"broom w_y={w_y} w_z={w_z} tree_vertices={len(tree.vertices)} root={root!r}"
     )
     try:
-        broom = forest_broom(w_y, w_z, tree, root, w_x=w_x)
+        broom = forest_broom(w_y, w_z, tree, root)
     except ValueError as exc:
         return _skip(name, instance, str(exc))
 
@@ -274,9 +270,7 @@ def check_broom_equality(
     )
 
 
-def check_line_cubic_witness(
-    weights: Sequence[int], i: int, cap: int | None = None
-) -> CheckResult:
+def check_line_cubic_witness(weights: Sequence[int], i: int) -> CheckResult:
     """Oriented line with w(x_i) >= 2 and w(x_(i+1)) = 1 for an interior i
     (1 < i < n-1): the monomial
 
@@ -305,10 +299,10 @@ def check_line_cubic_witness(
         }
     )
     cube = edge_ideal(g) ** 3
-    third_symbolic = symbolic_power(g, 3, cap=cap)
+    third_symbolic = symbolic_power(g, 3)
     in_symbolic = third_symbolic.contains(f)
     in_cube = cube.contains(f)
-    report = compare_powers(g, 3, cap)
+    report = compare_powers(g, 3)
     unequal_at_3 = not report.per_s[2].equal
     passed = in_symbolic and not in_cube and unequal_at_3
     return CheckResult(
@@ -525,30 +519,26 @@ def random_graph(
     n_min: int = 2,
     n_max: int = 7,
     edge_prob: float = 0.5,
-    weight_min: int = 1,
     weight_max: int = 3,
-    allow_isolated: bool = True,
 ) -> WeightedOrientedGraph:
     """A random weighted oriented graph on x1..xn, n drawn from [n_min, n_max].
 
     Each vertex pair gets an edge with the given probability and a random
-    orientation; weights are uniform in [weight_min, weight_max].
+    orientation; weights are uniform in [1, weight_max].  Isolated vertices
+    are kept.
     """
-    while True:
-        n = rng.randint(n_min, n_max)
-        vs = [f"x{i}" for i in range(1, n + 1)]
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < edge_prob:
-                    if rng.random() < 0.5:
-                        edges.append((vs[i], vs[j]))
-                    else:
-                        edges.append((vs[j], vs[i]))
-        weights = {v: rng.randint(weight_min, weight_max) for v in vs}
-        g = WeightedOrientedGraph(vs, edges, weights)
-        if allow_isolated or all(not g.is_isolated(v) for v in vs):
-            return g
+    n = rng.randint(n_min, n_max)
+    vs = [f"x{i}" for i in range(1, n + 1)]
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                if rng.random() < 0.5:
+                    edges.append((vs[i], vs[j]))
+                else:
+                    edges.append((vs[j], vs[i]))
+    weights = {v: rng.randint(1, weight_max) for v in vs}
+    return WeightedOrientedGraph(vs, edges, weights)
 
 
 @dataclass
@@ -582,7 +572,6 @@ def random_regression(
     s_max: int = 3,
     n_max: int = 7,
     weight_max: int = 3,
-    cap: int | None = None,
 ) -> RegressionSummary:
     """Random graphs through the standing identities: the decomposition
     intersection recovers the edge ideal, the two symbolic routes agree,
@@ -598,7 +587,7 @@ def random_regression(
     for _ in range(trials):
         g = random_graph(rng, n_max=n_max, weight_max=weight_max)
         ideal = edge_ideal(g)
-        comps = irreducible_decomposition(g, cap)
+        comps = irreducible_decomposition(g)
         if decomposition_intersection(comps, g) != ideal:
             summary.failures.append(
                 {"graph": g.to_json(), "problem": "decomposition identity"}
@@ -608,8 +597,8 @@ def random_regression(
         for s in range(1, s_max + 1):
             if s > 1:
                 ordinary = ordinary * ideal
-            symbolic = symbolic_power(g, s, cap=cap)
-            if symbolic != symbolic_power_oracle(g, s, cap):
+            symbolic = symbolic_power(g, s)
+            if symbolic != symbolic_power_oracle(g, s):
                 summary.failures.append(
                     {"graph": g.to_json(), "problem": "symbolic routes differ", "s": s}
                 )

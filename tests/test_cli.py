@@ -27,7 +27,7 @@ LINE3 = {
 def graph_file(tmp_path):
     def write(data, name="graph.json"):
         path = tmp_path / name
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(data), encoding="utf-8")
         return str(path)
 
     return write
@@ -78,6 +78,26 @@ def test_decompose_json(graph_file, capsys):
     assert payload["intersection_equals_edge_ideal"] is True
     assert [c["cover"] for c in payload["components"]] == [
         ["x2"], ["x1", "x3"], ["x2", "x3"]
+    ]
+
+
+def test_decompose_text(graph_file, capsys):
+    code, out, _ = run(capsys, "decompose", graph_file(LINE3))
+    assert code == 0
+    assert out.splitlines() == [
+        "edge ideal: [x1*x2^2, x2*x3^2]",
+        "  cover {x2}: [x2]",
+        "  cover {x1, x3}: [x1, x3^2]",
+        "  cover {x2, x3}: [x2^2, x3^2]",
+        "intersection equals edge ideal: true",
+    ]
+    edgeless = {"vertices": ["a"], "edges": [], "weights": {"a": 1}}
+    code, out, _ = run(capsys, "decompose", graph_file(edgeless))
+    assert code == 0
+    assert out.splitlines() == [
+        "edge ideal: []",
+        "no components (zero ideal)",
+        "intersection equals edge ideal: true",
     ]
 
 
@@ -143,10 +163,22 @@ def test_missing_file_is_input_error(capsys):
 
 def test_malformed_json_is_input_error(graph_file, capsys, tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
+    path.write_text("{not json", encoding="utf-8")
     code, _, err = run(capsys, "covers", str(path))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command", [["covers"], ["decompose"], ["power", "--s", "2"]])
+def test_deeply_nested_json_is_input_error(capsys, tmp_path, command):
+    # deep enough to exhaust the JSON decoder's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1
+    assert "Traceback" not in err
 
 
 def test_invalid_graph_is_input_error(graph_file, capsys):
@@ -179,6 +211,11 @@ BAD_TYPES = {
     "edge not a pair": {**LINE3, "edges": ["x1"]},
     "weights not an object": {**LINE3, "weights": [1, 2, 2]},
     "graph not an object": [1, 2, 3],
+    # list("abc") and the keys of an object would read as three vertex names
+    "vertices a string": {"vertices": "abc", "edges": [["a", "b"]], "weights": {}},
+    "vertices an object": {
+        "vertices": {"a": 1, "b": 2, "c": 3}, "edges": [["a", "b"]], "weights": {}
+    },
 }
 
 
@@ -257,6 +294,34 @@ def test_oracle_disagreement_exits_one(graph_file, capsys, monkeypatch):
     )
     assert code == 1
     assert "oracle agrees: false" in out
+
+
+def test_compare_oracle_disagreement_exits_one(graph_file, capsys, monkeypatch):
+    import oriented_ideals.cli as cli
+    from oriented_ideals import MonomialIdeal
+
+    ambient = tuple(LINE3["vertices"])
+    rigged = MonomialIdeal(ambient, ["x1^9"])
+    monkeypatch.setattr(cli, "symbolic_power_oracle", lambda g, s: rigged)
+    code, out, _ = run(
+        capsys, "power", graph_file(LINE3), "--s", "2", "--oracle", "--json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["oracle_agrees"] is False
+    assert payload["oracle_disagreements"]["1"] == {
+        "symbolic": ["x1*x2^2", "x2*x3^2"],
+        "oracle": ["x1^9"],
+    }
+    assert sorted(payload["oracle_disagreements"]) == ["1", "2"]
+
+    code, out, _ = run(capsys, "power", graph_file(LINE3), "--s", "2", "--oracle")
+    assert code == 1
+    lines = out.splitlines()
+    assert "oracle agrees: false" in lines
+    assert "  s=1 symbolic: ['x1*x2^2', 'x2*x3^2']" in lines
+    assert "  s=1 oracle:   ['x1^9']" in lines
+    assert "  s=2 oracle:   ['x1^9']" in lines
 
 
 @pytest.mark.parametrize(

@@ -150,22 +150,15 @@ def test_partition_to_json_sorted_by_position():
 
 def test_enumeration_cap(monkeypatch):
     g = oriented_line(4, (1, 1, 1, 1))
-    with pytest.raises(CapExceededError, match=CAP_ENV_VAR):
-        enumerate_strong_covers(g, cap=3)
     monkeypatch.setenv(CAP_ENV_VAR, "3")
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=CAP_ENV_VAR):
         enumerate_strong_covers(g)
     monkeypatch.setenv(CAP_ENV_VAR, "4")
     assert enumerate_strong_covers(g)
-    # explicit argument wins over the environment
-    monkeypatch.setenv(CAP_ENV_VAR, "3")
-    assert enumerate_strong_covers(g, cap=10)
 
 
 def test_negative_cap_rejected(monkeypatch):
     g = oriented_line(4, (1, 1, 1, 1))
-    with pytest.raises(ValueError, match="nonnegative"):
-        enumerate_strong_covers(g, cap=-1)
     monkeypatch.setenv(CAP_ENV_VAR, "-1")
     with pytest.raises(ValueError, match=CAP_ENV_VAR):
         enumerate_strong_covers(g)

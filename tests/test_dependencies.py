@@ -27,7 +27,7 @@ def test_package_imports_only_the_standard_library():
     outside = [
         f"{path.relative_to(PACKAGE_DIR)}: {name}"
         for path in sources
-        for name in absolute_imports(ast.parse(path.read_text(), filename=str(path)))
+        for name in absolute_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         if name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []

@@ -121,10 +121,13 @@ def test_forest_broom_weight_validation():
     path = rooted_tree({"t1": "z", "t2": "t1"}, "z", {"z": 2, "t1": 1, "t2": 1})
     with pytest.raises(ValueError):
         forest_broom(2, 2, path, "z")  # t1 is not a sink but has weight 1
-    ok = forest_broom(2, 2, path, "z", weights={"t1": 2})
+    heavy = rooted_tree({"t1": "z", "t2": "t1"}, "z", {"z": 2, "t1": 2, "t2": 1})
+    ok = forest_broom(2, 2, heavy, "z")
     assert ok.weight("t1") == 2
+    # x is a source, so its stored weight is fixed and never matters
+    assert ok.weight("x") == 2
     with pytest.raises(ValueError):
-        forest_broom(1, 2, path, "z", weights={"t1": 2})  # y is never a sink
+        forest_broom(1, 2, heavy, "z")  # y is never a sink
     tree = rooted_tree({}, "z", {"z": 1})
     # a lone root is a sink, so w_z = 1 passes
     assert forest_broom(2, 1, tree, "z").weight("z") == 1
@@ -164,6 +167,10 @@ def test_json_shape_errors():
             {"vertices": ["a", "b"], "edges": [["a", "b", "c"]], "weights": {}}
         )
     for bad in (
+        # the vertex and edge lists must be arrays, not strings or objects
+        {"vertices": "ab", "edges": [["a", "b"]], "weights": {}},
+        {"vertices": {"a": 1, "b": 2}, "edges": [["a", "b"]], "weights": {}},
+        {"vertices": ["a", "b"], "edges": "ab", "weights": {}},
         {"vertices": [1, 2], "edges": [[1, 2]], "weights": {}},
         {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"a": 2.0}},
         {"vertices": ["a", "b"], "edges": [["a", None]], "weights": {}},
@@ -171,3 +178,6 @@ def test_json_shape_errors():
     ):
         with pytest.raises(ValueError):
             WeightedOrientedGraph.from_json(bad)
+    # Python callers may pass tuples
+    data = {"vertices": ("a", "b"), "edges": (("a", "b"),), "weights": {"a": 1, "b": 2}}
+    assert WeightedOrientedGraph.from_json(data).edges == (("a", "b"),)

@@ -125,6 +125,23 @@ def test_ideal_equality_is_canonical():
     assert MonomialIdeal(("x1", "x2"), ["x1"]) != MonomialIdeal(("x2", "x1"), ["x1"])
 
 
+def test_equal_values_hash_equal():
+    a = ideal("x1*x2^2", "x2*x3^2")
+    square = a * a
+    gens = square.generator_strings()
+    routes = [square, a ** 2, ideal(*gens), ideal(*reversed(gens))]
+    assert all(r == square for r in routes)
+    assert len({hash(r) for r in routes}) == 1
+    product = m("x1") * m("x2^2")
+    for same in (
+        m("x2^2*x1"),
+        Monomial({"x2": 2, "x1": 1}),
+        Monomial([("x1", 1), ("x2", 2), ("x3", 0)]),
+    ):
+        assert same == product
+        assert hash(same) == hash(product)
+
+
 def test_generator_outside_ambient_rejected():
     with pytest.raises(ValueError):
         MonomialIdeal(("x1", "x2"), ["x1*x3"])

@@ -197,7 +197,6 @@ def test_weights_below_one_are_rejected(bad):
         lambda: check_cycle_equality((bad, 2)),
         lambda: check_broom_equality(lone, "z", bad, 2),
         lambda: check_broom_equality(lone, "z", 2, bad),
-        lambda: check_broom_equality(lone, "z", 2, 2, w_x=bad),
     ]
     for check in checks:
         with pytest.raises(ValueError, match="must be an integer >= 1"):
