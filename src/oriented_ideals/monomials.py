@@ -145,7 +145,7 @@ class Monomial:
         return Monomial(exps)
 
     def __pow__(self, k: int) -> Monomial:
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError(f"monomial power must be a nonnegative int, got {k!r}")
         return Monomial({v: e * k for v, e in self._exps.items()})
 
@@ -472,7 +472,7 @@ class MonomialIdeal:
 
     def __pow__(self, s: int) -> MonomialIdeal:
         """s-fold product, minimalizing after each step; s=0 gives the unit ideal."""
-        if not isinstance(s, int) or s < 0:
+        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
             raise ValueError(f"ideal power must be a nonnegative int, got {s!r}")
         if s == 0:
             return MonomialIdeal.unit(self._ambient)

@@ -10,17 +10,21 @@ contribute nothing to either intersection, so both routes restrict to
 maximal primes.
 
 Equality of the two routes on random graphs is one of the standing
-regression checks.
+regression checks.  Each route has one implementation here, in private
+helpers that the public functions and the regression sweep in theorems
+share; over s = 1, 2, ... every power is one product from the power
+before it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from .covers import _maximal_covers, is_strong_cover, maximal_strong_covers
 from .graphs import WeightedOrientedGraph
-from .ideals import edge_ideal, irreducible_decomposition
+from .ideals import IrreducibleComponent, edge_ideal, irreducible_decomposition
 from .monomials import Monomial, MonomialIdeal, intersect_all
 
 
@@ -41,19 +45,72 @@ def q_sub_p(g: WeightedOrientedGraph, prime: frozenset[str]) -> MonomialIdeal:
     return edge_ideal(g).saturate(set(g.vertices) - prime)
 
 
+def _localized_powers(
+    g: WeightedOrientedGraph, components: Sequence[IrreducibleComponent]
+) -> Iterator[list[MonomialIdeal]]:
+    """Route one's pieces for s = 1, 2, ...: Q_{⊆P}^s for each maximal P.
+
+    The primes are the maximal covers among the components; each step
+    multiplies every running power by its Q_{⊆P} once, and only when the
+    next exponent is asked for.
+    """
+    primes = _maximal_covers(g, [c.cover for c in components])
+    base = [q_sub_p(g, p) for p in primes]
+    pieces = base
+    while True:
+        yield pieces
+        pieces = [piece * q for piece, q in zip(pieces, base)]
+
+
+def _powers_up_to(
+    g: WeightedOrientedGraph,
+    ideal: MonomialIdeal,
+    components: Sequence[IrreducibleComponent],
+    s_max: int,
+) -> Iterator[tuple[int, MonomialIdeal, MonomialIdeal]]:
+    """(s, I^s, symbolic power by route one) for s = 1..s_max.
+
+    I^s is one product from I^(s-1), and nothing for the next exponent is
+    built before it is asked for.  The zero ideal, which has no primes, is
+    its own symbolic power.
+    """
+    ordinary = ideal
+    for s, pieces in zip(range(1, s_max + 1), _localized_powers(g, components)):
+        if s > 1:
+            ordinary = ordinary * ideal
+        symbolic = ideal if ideal.is_zero else intersect_all(pieces, ambient=g.vertices)
+        yield s, ordinary, symbolic
+
+
+def _prime_complements(g: WeightedOrientedGraph) -> list[set[str]]:
+    """The variables outside each maximal associated prime."""
+    return [set(g.vertices) - p for p in maximal_strong_covers(g) if p]
+
+
+def _saturated_meet(
+    g: WeightedOrientedGraph, power: MonomialIdeal, complements: Sequence[set[str]]
+) -> MonomialIdeal:
+    """Route two at one exponent: I^s saturated by each complement, intersected.
+
+    The zero ideal, which has no primes, is its own symbolic power.
+    """
+    if power.is_zero:
+        return power
+    return intersect_all([power.saturate(c) for c in complements], ambient=g.vertices)
+
+
 def symbolic_power(g: WeightedOrientedGraph, s: int) -> MonomialIdeal:
     """The s-th symbolic power of the edge ideal, localizing before the power.
 
     The zero ideal is its own symbolic power.
     """
-    if not isinstance(s, int) or s < 1:
+    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
         raise ValueError(f"symbolic power wants an integer s >= 1, got {s!r}")
     ideal = edge_ideal(g)
     if ideal.is_zero:
         return ideal
-    primes = _maximal_covers(g, [c.cover for c in irreducible_decomposition(g)])
-    pieces = [q_sub_p(g, p) ** s for p in primes]
-    return intersect_all(pieces, ambient=g.vertices)
+    powers = _localized_powers(g, irreducible_decomposition(g))
+    return intersect_all(next(islice(powers, s - 1, None)), ambient=g.vertices)
 
 
 def symbolic_power_oracle(g: WeightedOrientedGraph, s: int) -> MonomialIdeal:
@@ -64,15 +121,12 @@ def symbolic_power_oracle(g: WeightedOrientedGraph, s: int) -> MonomialIdeal:
     symbolic_power localizes first, so it serves as a cross-check of
     symbolic_power.
     """
-    if not isinstance(s, int) or s < 1:
+    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
         raise ValueError(f"symbolic power wants an integer s >= 1, got {s!r}")
     ideal = edge_ideal(g)
     if ideal.is_zero:
         return ideal
-    power = ideal ** s
-    primes = [p for p in maximal_strong_covers(g) if p]
-    pieces = [power.saturate(set(g.vertices) - p) for p in primes]
-    return intersect_all(pieces, ambient=g.vertices)
+    return _saturated_meet(g, ideal ** s, _prime_complements(g))
 
 
 @dataclass(frozen=True)
@@ -135,25 +189,20 @@ def compare_powers(g: WeightedOrientedGraph, s_max: int) -> EqualityReport:
     confirmed with a membership test, and InvariantError is raised if that
     test accepts it.
     """
-    if not isinstance(s_max, int) or s_max < 1:
+    return _compare(g, s_max)[0]
+
+
+def _compare(
+    g: WeightedOrientedGraph, s_max: int
+) -> tuple[EqualityReport, MonomialIdeal, MonomialIdeal]:
+    """compare_powers, together with I^s and its symbolic power at s = s_max."""
+    if not isinstance(s_max, int) or isinstance(s_max, bool) or s_max < 1:
         raise ValueError(f"s_max must be an integer >= 1, got {s_max!r}")
     ideal = edge_ideal(g)
     components = irreducible_decomposition(g) if not ideal.is_zero else []
-    primes = _maximal_covers(g, [c.cover for c in components])
-    base = {p: q_sub_p(g, p) for p in primes}
-    running = dict(base)
 
     rows = []
-    ordinary = ideal
-    for s in range(1, s_max + 1):
-        if s > 1:
-            ordinary = ordinary * ideal
-            for p in primes:
-                running[p] = running[p] * base[p]
-        if ideal.is_zero:
-            symbolic = ideal
-        else:
-            symbolic = intersect_all(list(running.values()), ambient=g.vertices)
+    for s, ordinary, symbolic in _powers_up_to(g, ideal, components, s_max):
         if not symbolic.contains_ideal(ordinary):
             raise InvariantError(
                 f"I^{s} is not inside the symbolic power; the computation is broken"
@@ -179,4 +228,5 @@ def compare_powers(g: WeightedOrientedGraph, s_max: int) -> EqualityReport:
                 symbolic_generators=symbolic.num_generators,
             )
         )
-    return EqualityReport(graph=g.to_json(), s_max=s_max, per_s=tuple(rows))
+    report = EqualityReport(graph=g.to_json(), s_max=s_max, per_s=tuple(rows))
+    return report, ordinary, symbolic

@@ -45,7 +45,14 @@ from .ideals import (
     irreducible_decomposition,
 )
 from .monomials import Monomial, MonomialIdeal, intersect_all
-from .symbolic import compare_powers, q_sub_p, symbolic_power, symbolic_power_oracle
+from .symbolic import (
+    _compare,
+    _powers_up_to,
+    _prime_complements,
+    _saturated_meet,
+    compare_powers,
+    q_sub_p,
+)
 
 
 @dataclass
@@ -100,7 +107,7 @@ def _require_positive(name: str, value: int) -> None:
     A sweep bound below 1 would check nothing and still pass, and a weight
     below 1 is no weighting at all, so neither may become a skip.
     """
-    if not isinstance(value, int) or value < 1:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -298,11 +305,9 @@ def check_line_cubic_witness(weights: Sequence[int], i: int) -> CheckResult:
             f"x{i + 2}": weights[i + 1],
         }
     )
-    cube = edge_ideal(g) ** 3
-    third_symbolic = symbolic_power(g, 3)
+    report, cube, third_symbolic = _compare(g, 3)
     in_symbolic = third_symbolic.contains(f)
     in_cube = cube.contains(f)
-    report = compare_powers(g, 3)
     unequal_at_3 = not report.per_s[2].equal
     passed = in_symbolic and not in_cube and unequal_at_3
     return CheckResult(
@@ -577,8 +582,16 @@ def random_regression(
     intersection recovers the edge ideal, the two symbolic routes agree,
     and every ordinary power sits inside its symbolic power.
 
+    Each graph is swept once over s = 1..s_max, and every power is built
+    once.  I^s is one product from I^(s-1).  Route one, localize then
+    power, keeps Q_{⊆P}^s for each maximal prime of the decomposition the
+    identity check built.  Route two, power then localize, saturates that
+    I^s by the complements of one maximal strong cover scan.  Neither
+    route reads the other's ideals.  The first failure of a graph ends
+    its sweep.
+
     Any counterexample is recorded with the full graph for reproduction.
-    trials and s_max below 1 raise ValueError.
+    trials and s_max below 1, or given as a bool, raise ValueError.
     """
     _require_positive("trials", trials)
     _require_positive("s_max", s_max)
@@ -593,12 +606,9 @@ def random_regression(
                 {"graph": g.to_json(), "problem": "decomposition identity"}
             )
             continue
-        ordinary = ideal
-        for s in range(1, s_max + 1):
-            if s > 1:
-                ordinary = ordinary * ideal
-            symbolic = symbolic_power(g, s)
-            if symbolic != symbolic_power_oracle(g, s):
+        complements = _prime_complements(g) if not ideal.is_zero else []
+        for s, ordinary, symbolic in _powers_up_to(g, ideal, comps, s_max):
+            if symbolic != _saturated_meet(g, ordinary, complements):
                 summary.failures.append(
                     {"graph": g.to_json(), "problem": "symbolic routes differ", "s": s}
                 )

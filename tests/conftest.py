@@ -13,7 +13,21 @@ import random
 
 import pytest
 
-from oriented_ideals import Monomial, MonomialIdeal, WeightedOrientedGraph, random_graph
+from oriented_ideals import (
+    CheckResult,
+    Monomial,
+    MonomialIdeal,
+    RegressionSummary,
+    WeightedOrientedGraph,
+    compare_powers,
+    decomposition_intersection,
+    edge_ideal,
+    irreducible_decomposition,
+    oriented_line,
+    random_graph,
+    symbolic_power,
+    symbolic_power_oracle,
+)
 
 SAMPLE_SEED = 20260819
 
@@ -241,3 +255,144 @@ def assert_irredundant(components) -> None:
         assert not comp.ideal.contains_ideal(rest), (
             f"component on cover {sorted(comp.cover)} is redundant"
         )
+
+
+# --- per-exponent recomputation oracles ---------------------------------------
+#
+# random_regression and check_line_cubic_witness build each power once per
+# graph.  These are the paths they replaced, which recompute every power
+# through the public functions, so they share no state between exponents.
+
+
+def reference_random_regression(
+    seed: int, trials: int, *, s_max: int = 3, n_max: int = 7, weight_max: int = 3
+) -> RegressionSummary:
+    """The regression sweep, calling both symbolic routes afresh for each s."""
+    rng = random.Random(seed)
+    summary = RegressionSummary(seed=seed, trials=trials)
+    for _ in range(trials):
+        g = random_graph(rng, n_max=n_max, weight_max=weight_max)
+        ideal = edge_ideal(g)
+        comps = irreducible_decomposition(g)
+        if decomposition_intersection(comps, g) != ideal:
+            summary.failures.append(
+                {"graph": g.to_json(), "problem": "decomposition identity"}
+            )
+            continue
+        ordinary = ideal
+        for s in range(1, s_max + 1):
+            if s > 1:
+                ordinary = ordinary * ideal
+            symbolic = symbolic_power(g, s)
+            if symbolic != symbolic_power_oracle(g, s):
+                summary.failures.append(
+                    {"graph": g.to_json(), "problem": "symbolic routes differ", "s": s}
+                )
+                break
+            if not symbolic.contains_ideal(ordinary):
+                summary.failures.append(
+                    {
+                        "graph": g.to_json(),
+                        "problem": "ordinary power not inside symbolic power",
+                        "s": s,
+                    }
+                )
+                break
+    return summary
+
+
+def reference_cubic_witness(weights, i: int) -> CheckResult:
+    """The cubic-witness check, building I^3 and I^(3) beside compare_powers."""
+    name = "line_cubic_witness"
+    weights = tuple(weights)
+    n = len(weights)
+    instance = f"line weights={weights}, i={i}"
+
+    def skip(notice: str) -> CheckResult:
+        return CheckResult(
+            check=name, instance=instance, hypotheses_ok=False, prediction="",
+            computed=notice, passed=False, details={"notice": notice},
+        )
+
+    if not 1 < i < n - 1:
+        return skip(f"i={i} is not interior (need 1 < i < {n - 1})")
+    if weights[i - 1] < 2:
+        return skip(f"w(x{i})={weights[i - 1]} but needs >= 2")
+    if weights[i] != 1:
+        return skip(f"w(x{i + 1})={weights[i]} but needs exactly 1")
+
+    g = oriented_line(n, weights)
+    f = Monomial(
+        {
+            f"x{i - 1}": 1,
+            f"x{i}": weights[i - 1],
+            f"x{i + 1}": 2,
+            f"x{i + 2}": weights[i + 1],
+        }
+    )
+    cube = edge_ideal(g) ** 3
+    third_symbolic = symbolic_power(g, 3)
+    in_symbolic = third_symbolic.contains(f)
+    in_cube = cube.contains(f)
+    report = compare_powers(g, 3)
+    unequal_at_3 = not report.per_s[2].equal
+    return CheckResult(
+        check=name,
+        instance=instance,
+        hypotheses_ok=True,
+        prediction="witness in third symbolic power, not in I^3; powers differ at s=3",
+        computed=(
+            f"witness={f.format(g.vertices)}, in_symbolic={in_symbolic}, "
+            f"in_cube={in_cube}, unequal_at_3={unequal_at_3}"
+        ),
+        passed=in_symbolic and not in_cube and unequal_at_3,
+        details={"witness": f.format(g.vertices), "comparison": report.to_json()},
+    )
+
+
+# --- rigged regression sweeps -------------------------------------------------
+#
+# Tests that break one identity on purpose check that random_regression
+# records the failure.
+
+# The sweep of random_regression(RIG_SEED, RIG_TRIALS) meets these four
+# graphs: 3, 5, 2 and 6 vertices, the third one edgeless.
+RIG_SEED, RIG_TRIALS = 1, 4
+
+
+def rig_graphs():
+    rng = random.Random(RIG_SEED)
+    return [random_graph(rng) for _ in range(RIG_TRIALS)]
+
+
+def rig_powers(graphs):
+    """I^2 and I^3 of each graph with edges.
+
+    A rig that breaks an identity at both exponents shows whether the sweep
+    stops at the first failure of a graph.
+    """
+    return {edge_ideal(g) ** s for g in graphs if g.edges for s in (2, 3)}
+
+
+def rig_failures(graphs, problem, s=None):
+    """One record per graph with edges; the edgeless graph cannot fail."""
+    extra = {} if s is None else {"s": s}
+    return [
+        {"graph": g.to_json(), "problem": problem, **extra} for g in graphs if g.edges
+    ]
+
+
+@pytest.fixture
+def routes_differ_from_2(monkeypatch):
+    """Route two saturates I^s; from s = 2 on every saturation gives the unit ideal."""
+    graphs = rig_graphs()
+    powers = rig_powers(graphs)
+    real = MonomialIdeal.saturate
+
+    def saturate(self, variables):
+        if self in powers:
+            return MonomialIdeal.unit(self.ambient)
+        return real(self, variables)
+
+    monkeypatch.setattr(MonomialIdeal, "saturate", saturate)
+    return graphs

@@ -9,6 +9,8 @@ import pytest
 from oriented_ideals.cli import main
 from oriented_ideals.covers import CAP_ENV_VAR
 
+from conftest import RIG_SEED, RIG_TRIALS, rig_failures
+
 
 LINE5 = {
     "vertices": ["x1", "x2", "x3", "x4", "x5"],
@@ -266,6 +268,30 @@ def test_verify_random_regression(capsys):
     )
     assert code == 0
     assert "random regression seed=5 trials=8 failures=0" in out
+
+
+def test_verify_random_reports_failures(capsys, routes_differ_from_2):
+    code, out, _ = run(
+        capsys, "verify", "--random", "--seed", str(RIG_SEED),
+        "--trials", str(RIG_TRIALS),
+    )
+    assert code == 1
+    failures = rig_failures(routes_differ_from_2, "symbolic routes differ", 2)
+    lines = out.splitlines()
+    assert lines[0] == (
+        f"FAIL: random regression seed={RIG_SEED} trials={RIG_TRIALS} "
+        f"failures={len(failures)}"
+    )
+    assert lines[1:] == [f"      {json.dumps(f)}" for f in failures]
+
+    code, out, _ = run(
+        capsys, "verify", "--random", "--seed", str(RIG_SEED),
+        "--trials", str(RIG_TRIALS), "--json",
+    )
+    assert code == 1
+    regression = json.loads(out)["regression"]
+    assert regression["pass"] is False
+    assert regression["failures"] == failures
 
 
 def test_verify_reports_failures(capsys, monkeypatch):

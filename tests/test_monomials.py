@@ -64,6 +64,10 @@ def test_product_and_power():
     assert m("x1") ** 0 == Monomial()
     with pytest.raises(ValueError):
         m("x1") ** -1
+    # bool is an int subclass, but True is no exponent
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            m("x1") ** flag
 
 
 def test_monomial_validation():
@@ -184,6 +188,9 @@ def test_power_conventions():
     assert a ** 1 == a
     with pytest.raises(ValueError):
         a ** -1
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            a ** flag
     zero = MonomialIdeal.zero(X5)
     assert (zero ** 3).is_zero
 

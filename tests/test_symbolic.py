@@ -104,10 +104,14 @@ def test_unit_weight_line3_powers_agree():
 
 
 def test_symbolic_power_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        symbolic_power(LINE5, 0)
-    with pytest.raises(ValueError):
-        compare_powers(LINE5, 0)
+    # bool is an int subclass, but True is no exponent
+    for bad in (0, True):
+        with pytest.raises(ValueError):
+            symbolic_power(LINE5, bad)
+        with pytest.raises(ValueError):
+            symbolic_power_oracle(LINE5, bad)
+        with pytest.raises(ValueError):
+            compare_powers(LINE5, bad)
 
 
 def test_zero_ideal_conventions():

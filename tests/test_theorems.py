@@ -7,8 +7,10 @@ import itertools
 
 import pytest
 
+import oriented_ideals.theorems as theorems
 from oriented_ideals import (
     CheckResult,
+    MonomialIdeal,
     RegressionSummary,
     check_broom_equality,
     check_cycle_equality,
@@ -21,6 +23,16 @@ from oriented_ideals import (
     oriented_line,
     random_regression,
     rooted_tree,
+)
+
+from conftest import (
+    RIG_SEED,
+    RIG_TRIALS,
+    reference_cubic_witness,
+    reference_random_regression,
+    rig_failures,
+    rig_graphs,
+    rig_powers,
 )
 
 
@@ -184,11 +196,74 @@ def test_random_regression_passes():
     assert data["seed"] == 42
 
 
+@pytest.mark.parametrize("seed", [3, 11, 2026])
+@pytest.mark.parametrize("n_max", [5, 7])
+def test_random_regression_matches_recomputation(seed, n_max):
+    # each power built once per graph gives the summary that recomputing
+    # both routes from scratch at every s gives
+    assert random_regression(seed, 25, n_max=n_max).to_json() == (
+        reference_random_regression(seed, 25, n_max=n_max).to_json()
+    )
+
+
+def test_random_regression_matches_recomputation_at_s4():
+    assert random_regression(5, 6, s_max=4, n_max=5).to_json() == (
+        reference_random_regression(5, 6, s_max=4, n_max=5).to_json()
+    )
+
+
+@pytest.mark.parametrize("weights", list(itertools.product((1, 2), repeat=5)))
+def test_cubic_witness_matches_recomputation(weights):
+    for i in range(1, 5):
+        assert check_line_cubic_witness(weights, i).to_json() == (
+            reference_cubic_witness(weights, i).to_json()
+        )
+
+
+def test_regression_records_routes_that_differ(routes_differ_from_2):
+    summary = random_regression(RIG_SEED, RIG_TRIALS)
+    # one record at s = 2 per graph, and the sweep of that graph stops there
+    assert summary.failures == rig_failures(
+        routes_differ_from_2, "symbolic routes differ", 2
+    )
+    assert not summary.passed
+    reference = reference_random_regression(RIG_SEED, RIG_TRIALS)
+    assert summary.to_json() == reference.to_json()
+
+
+def test_regression_records_broken_containment(monkeypatch):
+    graphs = rig_graphs()
+    powers = rig_powers(graphs)
+    real = MonomialIdeal.contains_ideal
+    monkeypatch.setattr(
+        MonomialIdeal,
+        "contains_ideal",
+        lambda self, other: other not in powers and real(self, other),
+    )
+    summary = random_regression(RIG_SEED, RIG_TRIALS)
+    assert summary.failures == rig_failures(
+        graphs, "ordinary power not inside symbolic power", 2
+    )
+    reference = reference_random_regression(RIG_SEED, RIG_TRIALS)
+    assert summary.to_json() == reference.to_json()
+
+
+def test_regression_records_broken_decomposition(monkeypatch):
+    # without its last component the intersection is larger than the edge
+    # ideal, or the zero ideal when that was the only one
+    real = theorems.irreducible_decomposition
+    monkeypatch.setattr(theorems, "irreducible_decomposition", lambda g: real(g)[:-1])
+    summary = random_regression(RIG_SEED, RIG_TRIALS)
+    # the sweep skips the powers of a graph that fails the identity
+    assert summary.failures == rig_failures(rig_graphs(), "decomposition identity")
+
+
 def test_empty_regression_passes():
     assert RegressionSummary(seed=7, trials=0, failures=[]).passed
 
 
-@pytest.mark.parametrize("bad", [0, -3])
+# True is an int, but not the weight 1
+@pytest.mark.parametrize("bad", [0, -3, True])
 def test_weights_below_one_are_rejected(bad):
     lone = rooted_tree({}, "z", {"z": 2})
     checks = [
@@ -206,7 +281,8 @@ def test_weights_below_one_are_rejected(bad):
     assert check_broom_equality(lone, "z", 1, 2).status == "skip"
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.0])
+# True is an int, but not the count 1
+@pytest.mark.parametrize("bad", [0, -1, 2.0, True])
 def test_sweep_bounds_below_one_are_rejected(bad):
     lone = rooted_tree({}, "z", {"z": 2})
     checks = [
