@@ -27,6 +27,8 @@ class WeightedOrientedGraph:
         edges: Iterable[tuple[str, str]],
         weights: Mapping[str, int] | None = None,
     ):
+        if isinstance(vertices, str):
+            raise TypeError(f"vertices must be a sequence of names, not {vertices!r}")
         vertices = tuple(vertices)
         if len(set(vertices)) != len(vertices):
             raise ValueError("vertex names must be distinct")

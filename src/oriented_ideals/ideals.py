@@ -51,11 +51,16 @@ def irreducible_component(
     if parts is None or not parts.is_strong(g):
         raise ValueError(f"{sorted(cover)} is not a strong vertex cover")
     l1 = parts.l1
-    weights = g._weights
-    ideal = MonomialIdeal(
-        g.vertices, [Monomial({v: 1 if v in l1 else weights[v]}) for v in cover]
+    weights, position = g._weights, g._position
+    zeros = [0] * len(position)
+    rows = []
+    for v in cover:
+        row = zeros.copy()
+        row[position[v]] = 1 if v in l1 else weights[v]
+        rows.append(tuple(row))
+    return IrreducibleComponent(
+        cover=cover, ideal=MonomialIdeal._from_rows(g.vertices, rows)
     )
-    return IrreducibleComponent(cover=cover, ideal=ideal)
 
 
 def irreducible_decomposition(g: WeightedOrientedGraph) -> list[IrreducibleComponent]:

@@ -8,14 +8,18 @@ canonical form: the unique minimal generating set, sorted by total degree
 and then lexicographically in the ambient variable order.  Everything is
 exact integer arithmetic; there are no coefficients anywhere.
 
-An ideal stores its generators as exponent rows, one tuple of ints per
-generator in ambient order.  Ideal operations work on packed rows instead
-(the packed exponent vectors of Monagan and Pearce): each row becomes one
-Python int with one field of W bits per variable, variable 0 in the most
-significant field.  A field is ``vbits`` value bits topped by a guard bit
-that stays clear in every packed row.  An ideal also keeps its rows packed
-as the minimalization that made it left them, with their ``vbits``, so an
-operation whose own layout has the same ``vbits`` packs nothing again.
+A generator of an ideal is an exponent row, one int per variable in
+ambient order, and an ideal stores its rows only packed (the packed
+exponent vectors of Monagan and Pearce): each row is one Python int with
+one field of W bits per variable, variable 0 in the most significant
+field.  A field is ``vbits`` value bits topped by a guard bit that stays
+clear in every packed row.  An ideal keeps its rows as the minimalization
+that made it left them, with the layout that packed them, so an operation
+whose own layout has the same ``vbits`` packs nothing again.  Rows are
+unpacked to tuples only when something reads them: the generators, their
+strings, the hash, equality of ideals packed at different widths, and
+packing at another width.  The largest exponent is read from the lcm of
+all rows, which is folded packed as below and is the one row unpacked.
 
 W is worked out per operation, never set: ``vbits`` is the bit length of
 n * e, where n is the ambient size and e the largest exponent the result
@@ -177,10 +181,6 @@ class Monomial:
         return self._hash
 
 
-def _max_exponent(rows: Iterable[tuple[int, ...]]) -> int:
-    return max(chain.from_iterable(rows), default=0)
-
-
 class _Layout:
     """Packing of n-variable rows whose exponents are at most maxexp."""
 
@@ -309,14 +309,15 @@ class MonomialIdeal:
     equality of two ideals over the same ambient is ideal equality.  The
     zero ideal has no generators; the unit ideal is generated by 1.
 
-    Besides its rows, an ideal keeps them packed as minimalization left
-    them, with the value width ``_vbits`` of that packing; an operation
-    whose layout has that width reuses the packing.  Its largest exponent
-    is worked out once, when an operation first needs it.
+    An ideal stores only its packed rows, as minimalization left them, and
+    the ``_Layout`` they were packed with; an operation whose layout has
+    that width reuses them.  The exponent tuples in ``_rows``, the
+    generators and the largest exponent are each worked out on first use.
     """
 
     __slots__ = (
-        "_ambient", "_position", "_rows", "_packed", "_vbits", "_max", "_gens", "_hash",
+        "_ambient", "_position", "_packed", "_layout", "_tuples", "_max", "_gens",
+        "_hash",
     )
 
     def __init__(
@@ -324,17 +325,28 @@ class MonomialIdeal:
         ambient: Sequence[str],
         generators: Iterable[Monomial | str] = (),
     ):
+        if isinstance(ambient, str):
+            raise TypeError(f"ambient must be a sequence of names, not {ambient!r}")
         ambient = tuple(ambient)
         if len(set(ambient)) != len(ambient):
             raise ValueError("ambient variables must be distinct")
         self._ambient = ambient
         self._position = {v: i for i, v in enumerate(ambient)}
-        rows = [
+        self._generate([
             self._row(Monomial.from_str(g) if isinstance(g, str) else g)
             for g in generators
-        ]
-        layout = _Layout(len(ambient), _max_exponent(rows))
-        self._keep(layout, layout.minimal(set(layout.pack(rows))))
+        ])
+
+    @classmethod
+    def _from_rows(
+        cls, ambient: tuple[str, ...], rows: list[tuple[int, ...]]
+    ) -> MonomialIdeal:
+        """The ideal generated by exponent rows over distinct ambient names."""
+        ideal = cls.__new__(cls)
+        ideal._ambient = ambient
+        ideal._position = {v: i for i, v in enumerate(ambient)}
+        ideal._generate(rows)
+        return ideal
 
     @classmethod
     def zero(cls, ambient: Sequence[str]) -> MonomialIdeal:
@@ -344,11 +356,16 @@ class MonomialIdeal:
     def unit(cls, ambient: Sequence[str]) -> MonomialIdeal:
         return cls(ambient, (Monomial(),))
 
+    def _generate(self, rows: list[tuple[int, ...]]) -> None:
+        """Take the minimal generators among exponent rows in ambient order."""
+        layout = _Layout(len(self._ambient), max(chain.from_iterable(rows), default=0))
+        self._keep(layout, layout.minimal(set(layout.pack(rows))))
+
     def _keep(self, layout: _Layout, kept: list[int]) -> None:
-        """Take the rows that layout.minimal kept, packed and unpacked."""
-        self._rows = tuple(map(layout.unpack, kept))
+        """Take the rows that layout.minimal kept, packed by layout."""
         self._packed = kept  # never changed in place
-        self._vbits = layout.vbits
+        self._layout = layout
+        self._tuples: tuple[tuple[int, ...], ...] | None = None
         self._max: int | None = None
         self._gens: tuple[Monomial, ...] | None = None
         self._hash: int | None = None
@@ -361,15 +378,33 @@ class MonomialIdeal:
         ideal._keep(layout, layout.minimal(packed))
         return ideal
 
+    @property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """The generators' exponent rows in ambient order, unpacked on first use."""
+        if self._tuples is None:
+            self._tuples = tuple(map(self._layout.unpack, self._packed))
+        return self._tuples
+
     def _maxexp(self) -> int:
-        """The largest exponent of any generator, worked out on first use."""
+        """The largest exponent of any generator, worked out on first use.
+
+        It is the largest field of the lcm of all packed rows, which is
+        folded as in ``intersect`` and unpacked alone.
+        """
         if self._max is None:
-            self._max = _max_exponent(self._rows)
+            layout = self._layout
+            guard, vbits = layout.guard, layout.vbits
+            lcm = 0
+            for x in self._packed:
+                t = ((x | guard) - lcm) & guard  # guard bits where x's field >= lcm's
+                m = t - (t >> vbits)
+                lcm = (x & m) | (lcm & ~m)
+            self._max = max(layout.unpack(lcm), default=0)
         return self._max
 
     def _pack(self, layout: _Layout) -> list[int]:
         """The rows packed by layout; the kept packing when its width matches."""
-        if layout.vbits == self._vbits:
+        if layout.vbits == self._layout.vbits:
             return self._packed
         return layout.pack(self._rows)
 
@@ -397,15 +432,15 @@ class MonomialIdeal:
     @property
     def num_generators(self) -> int:
         """Size of the minimal generating set, without building any Monomial."""
-        return len(self._rows)
+        return len(self._packed)
 
     @property
     def is_zero(self) -> bool:
-        return not self._rows
+        return not self._packed
 
     @property
     def is_unit(self) -> bool:
-        return len(self._rows) == 1 and sum(self._rows[0]) == 0
+        return self._packed == [0]
 
     def generator_strings(self) -> list[str]:
         return [g.format(self._ambient) for g in self.generators]
@@ -447,7 +482,9 @@ class MonomialIdeal:
         """
         self._require_same_ambient(other)
         i = other._first_outside(self)
-        return None if i is None else self._monomial(self._rows[i])
+        if i is None:
+            return None
+        return self._monomial(self._layout.unpack(self._packed[i]))
 
     def __le__(self, other: MonomialIdeal) -> bool:
         if not isinstance(other, MonomialIdeal):
@@ -522,6 +559,8 @@ class MonomialIdeal:
         For monomial ideals this just zeroes out the exponents of those
         variables in every generator and minimalizes.
         """
+        if isinstance(variables, str):
+            raise TypeError(f"variables must be names, not the string {variables!r}")
         idx = set()
         for v in variables:
             if v not in self._position:
@@ -540,7 +579,11 @@ class MonomialIdeal:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self._ambient == other._ambient and self._rows == other._rows
+        if self._ambient != other._ambient or len(self._packed) != len(other._packed):
+            return False
+        if self._layout.vbits == other._layout.vbits:
+            return self._packed == other._packed
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
         if self._hash is None:

@@ -227,6 +227,21 @@ def component_q_sub_p(components, prime) -> MonomialIdeal:
     return MonomialIdeal(ambient, [Monomial(zip(ambient, row)) for row in rows])
 
 
+def reference_component_ideal(g: WeightedOrientedGraph, cover) -> MonomialIdeal:
+    """The component ideal of a strong cover, built from Monomial generators.
+
+    L1 is read off the raw edge list: the cover vertices with an
+    out-neighbour outside the cover.  Each cover vertex gives x in L1 and
+    x^w(x) elsewhere, passed through the public constructor.
+    """
+    cover = frozenset(cover)
+    l1 = {t for t, h in g.edges if t in cover and h not in cover}
+    weights = g.weights
+    return MonomialIdeal(
+        g.vertices, [Monomial({v: 1 if v in l1 else weights[v]}) for v in cover]
+    )
+
+
 def maximal_covers(components) -> list[frozenset[str]]:
     """Component covers inside no other component cover, compared pairwise."""
     covers = [c.cover for c in components]

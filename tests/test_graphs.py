@@ -70,6 +70,13 @@ def test_validation():
         WeightedOrientedGraph(("a",), [], {"b": 1})
 
 
+def test_vertices_given_as_one_string_rejected():
+    # iterating "ab" would declare the vertices "a" and "b"
+    with pytest.raises(TypeError):
+        WeightedOrientedGraph("ab", [("a", "b")])
+    assert WeightedOrientedGraph(["a", "b"], [("a", "b")]).vertices == ("a", "b")
+
+
 def test_weights_default_to_one():
     g = WeightedOrientedGraph(("a", "b"), [("a", "b")], {"b": 3})
     assert g.weight("a") == 1

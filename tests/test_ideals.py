@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from oriented_ideals import (
     random_graph,
 )
 
-from conftest import assert_irredundant
+from conftest import assert_irredundant, reference_component_ideal
 
 
 LINE3 = oriented_line(3, (1, 2, 2))
@@ -156,3 +157,24 @@ def test_components_share_ambient():
     meet = decomposition_intersection(comps, LINE3)
     assert isinstance(meet, MonomialIdeal)
     assert meet.ambient == LINE3.vertices
+
+
+def component_reference_graphs():
+    rng = random.Random(11)
+    yield from (random_graph(rng, n_max=7) for _ in range(60))
+    yield from (oriented_cycle(n, (2,) * n) for n in range(3, 10))
+    yield from (oriented_line(4, w) for w in product((1, 2, 3), repeat=4))
+
+
+def test_components_from_rows_match_monomial_construction():
+    compared = 0
+    for g in component_reference_graphs():
+        for cover in enumerate_strong_covers(g):
+            ideal = irreducible_component(g, cover).ideal
+            reference = reference_component_ideal(g, cover)
+            assert ideal == reference, (g, sorted(cover))
+            assert hash(ideal) == hash(reference)
+            assert ideal._rows == reference._rows
+            assert ideal.generator_strings() == reference.generator_strings()
+            compared += 1
+    assert compared > 500

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -241,6 +242,22 @@ def test_with_ambient():
         small.with_ambient(("x1",))
 
 
+def test_a_string_is_not_taken_as_a_list_of_names():
+    # iterating "xy" gives the names "x" and "y"; saturating by them would
+    # turn this ideal into the unit ideal
+    a = MonomialIdeal(("x", "y", "z"), ["x*y^2", "y*z^3"])
+    with pytest.raises(TypeError):
+        a.saturate("xy")
+    with pytest.raises(TypeError):
+        a.saturate("x")
+    with pytest.raises(TypeError):
+        MonomialIdeal("xyz", ["x*y^2"])
+    with pytest.raises(TypeError):
+        a.with_ambient("xyz")
+    assert a.saturate(["x", "y"]).is_unit
+    assert a.with_ambient(["x", "y", "z"]) == a
+
+
 # --- property tests -----------------------------------------------------
 
 exponent_maps = st.dictionaries(
@@ -389,6 +406,72 @@ def test_kernel_matches_tuple_reference(case, s, data):
         assert a.contains(Monomial(zip(ambient, row))) == covers(ra, row)
 
 
+# --- packed storage ----------------------------------------------------------
+#
+# An ideal stores only its packed rows and the layout that packed them.  Equal
+# ideals can be packed at different widths, so equality, the hash and the
+# largest exponent must not depend on the width.
+
+
+@settings(max_examples=200, deadline=None)
+@given(ambient_and_rows())
+def test_an_ideal_packed_wider_is_the_same_ideal(case):
+    ambient, a_rows, _ = case
+    a = from_rows(ambient, a_rows)
+    assume(ambient and not a.is_zero)
+    # a multiple of a generator lies in a but widens the fields of the sum
+    first = a._rows[0]
+    multiple = from_rows(ambient, [(first[0] + (1 << a._layout.vbits),) + first[1:]])
+    wide = a + multiple
+    assert wide._layout.vbits != a._layout.vbits
+    assert wide == a and a == wide
+    assert hash(wide) == hash(a)
+    assert wide._rows == a._rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(ambient_and_rows(), st.integers(0, 3))
+def test_equal_generator_counts_with_other_rows_are_unequal(case, shift):
+    ambient, a_rows, _ = case
+    # built from its own generators, so its width is set by them alone
+    a = from_rows(ambient, reference_minimal_rows(a_rows))
+    # reversing the variables keeps the width; scaling by 2**shift widens it
+    # whenever shift > 0 and some exponent is positive
+    reversed_vars = from_rows(ambient, [row[::-1] for row in a._rows])
+    assert reversed_vars._layout.vbits == a._layout.vbits
+    times = from_rows(ambient, scaled(a._rows, 2**shift))
+    for b in (reversed_vars, times):
+        assert b.num_generators == a.num_generators
+        assert (a == b) == (b == a) == (a._rows == b._rows)
+    if shift and a._maxexp():
+        assert times._layout.vbits != a._layout.vbits
+        assert a != times
+
+
+@settings(max_examples=200, deadline=None)
+@given(ambient_and_rows(), st.data())
+def test_largest_exponent_is_exact(case, data):
+    ambient, a_rows, b_rows = case
+    a, b = from_rows(ambient, a_rows), from_rows(ambient, b_rows)
+    dropped = data.draw(st.sets(st.sampled_from(ambient)) if ambient else st.just(set()))
+    for result in (a * b, a.intersect(b), a + b, a.saturate(dropped)):
+        assert result._maxexp() == max(chain.from_iterable(result._rows), default=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ambient_and_rows())
+def test_products_and_intersections_build_no_rows_until_read(case):
+    ambient, a_rows, b_rows = case
+    a, b = from_rows(ambient, a_rows), from_rows(ambient, b_rows)
+    for op in (a.__mul__, a.intersect):
+        result = op(b)
+        result.num_generators, result.is_zero, result.is_unit, result._maxexp()
+        assert result == op(b)  # the same width, so the packed rows are compared
+        assert result._tuples is None
+        rows = result._rows
+        assert result._tuples is rows
+
+
 # --- divisor search across block boundaries --------------------------------
 #
 # The divisor search packs each complete run of 64 kept rows into one block
@@ -500,7 +583,7 @@ def test_kept_packing_is_refused_when_the_width_changes(scale):
     ab = from_rows(X4, a_rows) * from_rows(X4, b_rows)
     rab = reference_product(a_rows, b_rows)
     assert ab._rows == rab
-    assert ab._vbits == (8 * s).bit_length()
+    assert ab._layout.vbits == (8 * s).bit_length()
 
     narrow = from_rows(X4, [(s, s, 0, 0), (0, 0, s, 0), (0, s, 0, s)])
     wide = from_rows(X4, [(4 * s, 0, 0, 0), (0, 0, 0, 3 * s), (0, s, 2 * s, 0)])
