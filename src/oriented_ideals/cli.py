@@ -4,7 +4,8 @@ Subcommands: covers, decompose, power, verify.  Graphs come in as JSON
 files ({"vertices": [...], "edges": [[tail, head], ...], "weights":
 {...}}); results print as text or, with --json, as JSON on stdout.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource
+Exit codes: 0 success, 1 verification failure (a failed check, or a result
+that broke an invariant the theory guarantees), 2 input error, 3 resource
 cap exceeded.
 """
 
@@ -28,7 +29,12 @@ from .ideals import (
     edge_ideal,
     irreducible_decomposition,
 )
-from .symbolic import compare_powers, symbolic_power, symbolic_power_oracle
+from .symbolic import (
+    InvariantError,
+    compare_powers,
+    symbolic_power,
+    symbolic_power_oracle,
+)
 from .theorems import (
     check_broom_equality,
     check_cycle_equality,
@@ -369,6 +375,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

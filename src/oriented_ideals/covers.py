@@ -13,11 +13,17 @@ they are always strong.
 Enumeration is output-sensitive: the vertex covers are the complements of
 the independent sets, which a depth-first walk over per-vertex neighbor
 bitmasks lists once each, so the cost follows the number of covers rather
-than 2^n.  Each vertex cover then goes through the one strong-cover test,
-``is_strong_cover``.  The walk is guarded by a cap on the vertex count,
-since a graph can still have exponentially many covers.  The cap is 20
-vertices unless the ``ORIENTED_IDEAL_CAP`` environment variable sets it;
-that variable is the only setting, for the library and the CLI alike.
+than 2^n.  The strong-cover scans cut that walk twice.  A subtree is
+skipped when some L3 vertex is starved: it has no heavy feeder left and
+nothing the subtree may still add can change that, so no cover below is
+strong.  The scan for maximal strong covers also stops below each strong
+cover, since every cover in that subtree lies inside it.  So their cost
+follows the covers the walk cannot rule out, and every cover it visits
+still goes through the one strong-cover test, ``is_strong_cover``.  The
+walk is guarded by a cap on the vertex count, since a graph can still
+have exponentially many covers.  The cap is 20 vertices unless the
+``ORIENTED_IDEAL_CAP`` environment variable sets it; that variable is the
+only setting, for the library and the CLI alike.
 """
 
 from __future__ import annotations
@@ -132,9 +138,15 @@ class _CoverMasks:
         self.bits = [1 << (n - 1 - i) for i in range(n)]
         self.bit = dict(zip(g.vertices, self.bits))
         self.nbr = [0] * n
+        self.into = [0] * n
+        self.heavy_into = [0] * n
         for t, h in g.edges:
-            self.nbr[g._position[t]] |= self.bit[h]
-            self.nbr[g._position[h]] |= self.bit[t]
+            tail, head = g._position[t], g._position[h]
+            self.nbr[tail] |= self.bits[head]
+            self.nbr[head] |= self.bits[tail]
+            self.into[head] |= self.bits[tail]
+            if g._weights[t] >= 2:
+                self.heavy_into[head] |= self.bits[tail]
 
     def vertex_covers(self) -> Iterator[tuple[int, int]]:
         """Every vertex cover once, as (cover mask, closed neighborhood mask).
@@ -156,6 +168,65 @@ class _CoverMasks:
                 if not forbidden & bits[j]:
                     stack.append((j + 1, chosen | bits[j], forbidden | nbr[j] | bits[j]))
 
+    def strong_covers(
+        self, g: WeightedOrientedGraph, stop_at_strong: bool
+    ) -> list[tuple[int, frozenset[str]]]:
+        r"""The strong covers the walk reaches, as (mask, cover), in walk order.
+
+        This is the walk of ``vertex_covers`` over independent sets S with
+        covers C = V \ S, which also carries L1, the in-neighbors of S.
+        Then L3 = V \ N[S] is the complement of the forbidden mask, and the
+        feeders of the strength test are the heavy vertices of C \ L1.
+        Each cover the walk visits goes through ``is_strong_cover``.
+
+        A node and its whole subtree are skipped when some L3 vertex v is
+        starved: no heavy in-neighbor of v lies in C \ L1, and no position
+        the subtree may still add lies in N[v].  Going down the tree S only
+        gains vertices outside N[v], so v stays in L3, while C shrinks and
+        L1 grows, so the feeders of v only shrink and v stays unfed: no
+        cover in the subtree is strong.  An L3 vertex at or after the node's
+        next position may still be added itself, and it lies in its own
+        N[v], so only the L3 vertices before that position are checked, a
+        few integer operations each.
+
+        With stop_at_strong the walk does not go below a strong cover:
+        every cover in that subtree lies inside it, so none is a maximal
+        strong cover, and every maximal one is still reached.
+        """
+        bits, nbr, into, heavy_into, full = (
+            self.bits, self.nbr, self.into, self.heavy_into, self.full
+        )
+        n = len(bits)
+        strong = []
+        stack = [(0, 0, 0, 0)]
+        while stack:
+            i, chosen, forbidden, l1 = stack.pop()
+            later = (1 << (n - i)) - 1  # the positions i, i+1, ...
+            free = later & ~forbidden
+            unfed = ~(chosen | l1)
+            passed = (full ^ forbidden) & ~later  # L3 before position i
+            while passed:
+                low = passed & -passed
+                v = n - low.bit_length()
+                if not heavy_into[v] & unfed and not nbr[v] & free:
+                    break
+                passed ^= low
+            if passed:
+                continue
+            mask = full ^ chosen
+            cover = self.cover(mask)
+            if is_strong_cover(g, cover):
+                strong.append((mask, cover))
+                if stop_at_strong:
+                    continue
+            for j in range(i, n):
+                if free & bits[j]:
+                    stack.append((
+                        j + 1, chosen | bits[j], forbidden | nbr[j] | bits[j],
+                        l1 | into[j],
+                    ))
+        return strong
+
     def cover(self, mask: int) -> frozenset[str]:
         return frozenset([v for v, b in self.bit.items() if mask & b])
 
@@ -172,13 +243,7 @@ def enumerate_strong_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
     nonempty set would have an unfed L3 vertex).
     """
     _check_cap(g)
-    masks = _CoverMasks(g)
-    strong = []
-    for mask, _ in masks.vertex_covers():
-        cover = masks.cover(mask)
-        if is_strong_cover(g, cover):
-            strong.append((mask, cover))
-    return _sorted_covers(strong)
+    return _sorted_covers(_CoverMasks(g).strong_covers(g, stop_at_strong=False))
 
 
 def _maximal_covers(
@@ -200,8 +265,15 @@ def _maximal_covers(
 
 
 def maximal_strong_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
-    """The inclusion-maximal strong covers, in the same deterministic order."""
-    return _maximal_covers(g, enumerate_strong_covers(g))
+    """The inclusion-maximal strong covers, in the same deterministic order.
+
+    The walk stops below each strong cover it reaches, so it lists every
+    maximal strong cover and only some of the others, which the maximal
+    filter then drops.
+    """
+    _check_cap(g)
+    strong = _CoverMasks(g).strong_covers(g, stop_at_strong=True)
+    return _maximal_covers(g, _sorted_covers(strong))
 
 
 def minimal_vertex_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:

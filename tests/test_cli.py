@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from oriented_ideals import InvariantError, cli
 from oriented_ideals.cli import main
 from oriented_ideals.covers import CAP_ENV_VAR
 
@@ -195,6 +196,17 @@ def test_cap_exceeded_exit_code(graph_file, capsys, monkeypatch):
     code, _, err = run(capsys, "covers", graph_file(LINE5))
     assert code == 3
     assert CAP_ENV_VAR in err
+
+
+def test_invariant_error_is_verification_failure(graph_file, capsys, monkeypatch):
+    def broken(g, s):
+        raise InvariantError("I^2 is not inside the symbolic power")
+
+    monkeypatch.setattr(cli, "compare_powers", broken)
+    code, out, err = run(capsys, "power", graph_file(LINE3), "--s", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: I^2 is not inside the symbolic power\n"
 
 
 def test_negative_cap_is_input_error(graph_file, capsys, monkeypatch):

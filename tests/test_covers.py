@@ -13,6 +13,7 @@ from oriented_ideals import (
     CapExceededError,
     WeightedOrientedGraph,
     cover_partition,
+    covers,
     enumerate_strong_covers,
     is_strong_cover,
     is_vertex_cover,
@@ -235,13 +236,30 @@ def scan_graphs(draw):
     return _graph(n, edges, weights)
 
 
+# Graphs on which the strong-cover walk skips subtrees below its root: a
+# light path, an in-star with one heavy leaf, a light triangle with a
+# tail, and an out-star from a heavy center
+CUT_EXAMPLES = [
+    _graph(4, [(0, 1), (1, 2), (2, 3)]),
+    _graph(5, [(1, 0), (2, 0), (3, 0), (4, 0)], [1, 2, 1, 1, 1]),
+    _graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)], [1, 1, 1, 2, 1]),
+    _graph(3, [(2, 0), (2, 1)], [1, 1, 2]),
+]
+
+
 # explicit: no vertices, edgeless, a heavy path beside isolated vertices,
-# a heavy triangle beside a light edge and an isolated vertex
+# a heavy triangle beside a light edge and an isolated vertex, the graphs
+# above, and a heavy 5-cycle, where the maximal scan stops at the root
 @given(scan_graphs())
 @example(_graph(0))
 @example(_graph(4))
 @example(_graph(5, [(0, 1), (1, 2)], [2, 2, 2, 2, 2]))
 @example(_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4)], [2, 2, 2, 1, 1, 3]))
+@example(CUT_EXAMPLES[0])
+@example(CUT_EXAMPLES[1])
+@example(CUT_EXAMPLES[2])
+@example(CUT_EXAMPLES[3])
+@example(_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], [2, 2, 2, 2, 2]))
 @settings(max_examples=150, deadline=None)
 def test_cover_scans_match_brute_force(g):
     assert enumerate_strong_covers(g) == brute_force_strong_covers(g)
@@ -256,3 +274,56 @@ def test_cycle18_cover_counts():
     assert maximal_strong_covers(g) == [frozenset(g.vertices)]
     # minimal vertex covers of C18: Perrin P18
     assert len(minimal_vertex_covers(g)) == 158
+
+
+@pytest.fixture
+def strength_tests(monkeypatch):
+    """Counts the covers the scans hand to ``is_strong_cover``."""
+    calls = []
+    real = covers.is_strong_cover
+
+    def counting(g, cover):
+        calls.append(cover)
+        return real(g, cover)
+
+    monkeypatch.setattr(covers, "is_strong_cover", counting)
+    return calls
+
+
+def _vertex_cover_count(g):
+    return sum(
+        is_vertex_cover(g, c)
+        for r in range(len(g.vertices) + 1)
+        for c in itertools.combinations(g.vertices, r)
+    )
+
+
+@pytest.mark.parametrize("g", CUT_EXAMPLES)
+def test_cut_fires_below_the_root(g, strength_tests):
+    strong = enumerate_strong_covers(g)
+    tested = len(strength_tests)
+    assert len(strong) <= tested < _vertex_cover_count(g)
+    strength_tests.clear()
+    maximal_strong_covers(g)
+    assert len(strength_tests) <= tested
+
+
+def test_feeder_in_l1_starves(strength_tests):
+    # with S = {v1} the center v2 joins L1, so v0 in L3 has no feeder left
+    # and nothing later can change that: {v0, v2} is never tested
+    g = CUT_EXAMPLES[3]
+    assert enumerate_strong_covers(g) == [frozenset({"v2"}), frozenset({"v0", "v1"})]
+    assert frozenset({"v0", "v2"}) not in strength_tests
+
+
+def test_line18_scan_tests_few_covers(strength_tests):
+    g = oriented_line(18, (1, 2) * 9)
+    assert len(enumerate_strong_covers(g)) == 384
+    # the walk visits 6,765 vertex covers without the cut
+    assert len(strength_tests) <= 800
+
+
+def test_cycle18_maximal_scan_stops_at_the_root(strength_tests):
+    g = oriented_cycle(18, (2,) * 18)
+    assert maximal_strong_covers(g) == [frozenset(g.vertices)]
+    assert strength_tests == [frozenset(g.vertices)]
