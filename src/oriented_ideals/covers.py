@@ -10,6 +10,13 @@ C is a strong cover when every L3 vertex receives an edge from an
 L2-or-L3 vertex of weight at least 2.  Minimal covers have empty L3, so
 they are always strong.
 
+Every test here works on bitmasks.  Each graph carries one table of
+per-vertex bits and neighbor, in-neighbor and heavy-vertex masks, built
+on the first cover call and kept on the graph, like its adjacency.  A
+public call turns its set of names into a mask once; the layers are then
+unions of masks over the vertices outside C, and a ``CoverPartition``
+keeps them as masks, building its sets of names only when they are read.
+
 Enumeration is output-sensitive: the vertex covers are the complements of
 the independent sets, which a depth-first walk over per-vertex neighbor
 bitmasks lists once each, so the cost follows the number of covers rather
@@ -30,12 +37,14 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
 from .graphs import WeightedOrientedGraph
 
 DEFAULT_ENUMERATION_CAP = 20
 CAP_ENV_VAR = "ORIENTED_IDEAL_CAP"
+
+_CHUNK = 6  # bits per lookup when a mask is turned back into names
+_CHUNK_MASK = (1 << _CHUNK) - 1
 
 
 class CapExceededError(RuntimeError):
@@ -62,91 +71,100 @@ def _check_cap(g: WeightedOrientedGraph) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CoverPartition:
-    """A vertex cover together with its three layers."""
-
-    cover: frozenset[str]
-    l1: frozenset[str]
-    l2: frozenset[str]
-    l3: frozenset[str]
-
-    def to_json(self, g: WeightedOrientedGraph) -> dict:
-        return {
-            "cover": list(g.sort_vertices(self.cover)),
-            "L1": list(g.sort_vertices(self.l1)),
-            "L2": list(g.sort_vertices(self.l2)),
-            "L3": list(g.sort_vertices(self.l3)),
-        }
-
-    def is_strong(self, g: WeightedOrientedGraph) -> bool:
-        """True iff every L3 vertex has an in-neighbor of weight >= 2 in L2 or L3."""
-        feeders = self.cover - self.l1
-        weights = g._weights
-        return all(
-            any(u in feeders and weights[u] >= 2 for u in g._in[v]) for v in self.l3
-        )
-
-
-def is_vertex_cover(g: WeightedOrientedGraph, cover: Iterable[str]) -> bool:
-    """True iff every edge has an endpoint in the given set."""
-    cover = frozenset(cover)
-    unknown = cover.difference(g._position)
-    if unknown:
-        g._check_vertex(next(iter(unknown)))
-    return all(t in cover or h in cover for t, h in g._edges)
-
-
-def cover_partition(g: WeightedOrientedGraph, cover: Iterable[str]) -> CoverPartition:
-    """Split a vertex cover into the layers L1, L2, L3."""
-    cover = frozenset(cover)
-    if not is_vertex_cover(g, cover):
-        raise ValueError(f"{sorted(cover)} is not a vertex cover")
-    l1 = set()
-    l2 = set()
-    l3 = set()
-    for v in cover:
-        if not g._out[v] <= cover:
-            l1.add(v)
-        elif not g._in[v] <= cover:
-            l2.add(v)
-        else:
-            l3.add(v)
-    return CoverPartition(cover, frozenset(l1), frozenset(l2), frozenset(l3))
-
-
-def is_strong_cover(g: WeightedOrientedGraph, cover: Iterable[str]) -> bool:
-    """True iff cover is a vertex cover whose L3 layer is properly fed.
-
-    Properly fed: every L3 vertex has an in-neighbor of weight >= 2 lying
-    in L2 or L3.  A set that is not a vertex cover returns False.
-    """
-    cover = frozenset(cover)
-    return is_vertex_cover(g, cover) and cover_partition(g, cover).is_strong(g)
+def _vertex_set(cover: Iterable[str]) -> frozenset[str]:
+    """The names of a cover as a set; a bare string is not a set of names."""
+    if isinstance(cover, str):
+        raise TypeError(f"cover must be a collection of vertex names, not {cover!r}")
+    return frozenset(cover)
 
 
 class _CoverMasks:
-    """Bitmask view of one graph, built once per scan.
+    """Bitmask tables of one graph, built once and kept on the graph.
 
     The first vertex takes the most significant bit, so among covers of
-    one size the larger mask comes first in the position order.
+    one size the larger mask comes first in the position order.  ``nbr``,
+    ``into`` and ``bits`` are indexed by position, ``heavy`` is the mask
+    of the vertices of weight at least 2, and ``chunks`` turns a mask back
+    into names a few bits per lookup: entry k maps the value of bits
+    6k to 6k + 5 to the names those bits stand for.
     """
 
+    __slots__ = ("n", "full", "bits", "bit", "nbr", "into", "heavy", "chunks")
+
     def __init__(self, g: WeightedOrientedGraph):
-        n = len(g.vertices)
+        vertices = g.vertices
+        n = len(vertices)
+        self.n = n
         self.full = (1 << n) - 1
         self.bits = [1 << (n - 1 - i) for i in range(n)]
-        self.bit = dict(zip(g.vertices, self.bits))
+        self.bit = dict(zip(vertices, self.bits))
         self.nbr = [0] * n
         self.into = [0] * n
-        self.heavy_into = [0] * n
+        weights = g._weights
+        self.heavy = sum(b for v, b in self.bit.items() if weights[v] >= 2)
         for t, h in g.edges:
             tail, head = g._position[t], g._position[h]
             self.nbr[tail] |= self.bits[head]
             self.nbr[head] |= self.bits[tail]
             self.into[head] |= self.bits[tail]
-            if g._weights[t] >= 2:
-                self.heavy_into[head] |= self.bits[tail]
+        low_first = vertices[::-1]
+        self.chunks = []
+        for start in range(0, n, _CHUNK):
+            # the values with bit k set are those without it, plus name k
+            chunk = [()]
+            for v in low_first[start:start + _CHUNK]:
+                chunk += [names + (v,) for names in chunk]
+            self.chunks.append(chunk)
+
+    def mask(self, cover: Iterable[str]) -> int:
+        """The mask of a set of names, checked against the vertices."""
+        cover = _vertex_set(cover)
+        try:
+            return sum(map(self.bit.__getitem__, cover))
+        except KeyError as exc:
+            raise ValueError(f"unknown vertex {exc.args[0]!r}") from None
+
+    def names(self, mask: int) -> frozenset[str]:
+        """The set of names a mask stands for."""
+        names: list[str] = []
+        for chunk in self.chunks:
+            names += chunk[mask & _CHUNK_MASK]
+            mask >>= _CHUNK
+        return frozenset(names)
+
+    def is_cover(self, cover: int) -> bool:
+        """True iff no vertex outside the cover has a neighbor outside it."""
+        nbr, n = self.nbr, self.n
+        outside = rest = self.full ^ cover
+        while rest:
+            low = rest & -rest
+            if nbr[n - low.bit_length()] & outside:
+                return False
+            rest ^= low
+        return True
+
+    def partition(self, cover: int) -> CoverPartition | None:
+        r"""The layers of a cover mask, or None when it is not a cover.
+
+        With S the vertices outside C, L1 = C ∩ ⋃_{u∈S} into[u] (an
+        out-neighbor outside C) and L3 = C \ ⋃_{u∈S} nbr[u] (no neighbor
+        outside C); L2 is the rest of C.  C is a cover iff the union of
+        the neighbors of S misses S.
+        """
+        nbr, into, n = self.nbr, self.into, self.n
+        outside = rest = self.full ^ cover
+        reach = feed = 0
+        while rest:
+            low = rest & -rest
+            u = n - low.bit_length()
+            reach |= nbr[u]
+            feed |= into[u]
+            rest ^= low
+        if reach & outside:
+            return None
+        l1 = cover & feed
+        l3 = cover & ~reach
+        return CoverPartition(self, cover, l1, cover ^ l1 ^ l3, l3)
 
     def vertex_covers(self) -> Iterator[tuple[int, int]]:
         """Every vertex cover once, as (cover mask, closed neighborhood mask).
@@ -193,8 +211,8 @@ class _CoverMasks:
         every cover in that subtree lies inside it, so none is a maximal
         strong cover, and every maximal one is still reached.
         """
-        bits, nbr, into, heavy_into, full = (
-            self.bits, self.nbr, self.into, self.heavy_into, self.full
+        bits, nbr, into, heavy, full = (
+            self.bits, self.nbr, self.into, self.heavy, self.full
         )
         n = len(bits)
         strong = []
@@ -203,18 +221,18 @@ class _CoverMasks:
             i, chosen, forbidden, l1 = stack.pop()
             later = (1 << (n - i)) - 1  # the positions i, i+1, ...
             free = later & ~forbidden
-            unfed = ~(chosen | l1)
+            fed_by = heavy & ~(chosen | l1)
             passed = (full ^ forbidden) & ~later  # L3 before position i
             while passed:
                 low = passed & -passed
                 v = n - low.bit_length()
-                if not heavy_into[v] & unfed and not nbr[v] & free:
+                if not into[v] & fed_by and not nbr[v] & free:
                     break
                 passed ^= low
             if passed:
                 continue
             mask = full ^ chosen
-            cover = self.cover(mask)
+            cover = self.names(mask)
             if is_strong_cover(g, cover):
                 strong.append((mask, cover))
                 if stop_at_strong:
@@ -227,8 +245,116 @@ class _CoverMasks:
                     ))
         return strong
 
-    def cover(self, mask: int) -> frozenset[str]:
-        return frozenset([v for v, b in self.bit.items() if mask & b])
+
+def _cover_masks(g: WeightedOrientedGraph) -> _CoverMasks:
+    """The graph's mask table, built on the first call for that graph."""
+    masks = g._cover_masks
+    if masks is None:
+        masks = g._cover_masks = _CoverMasks(g)
+    return masks
+
+
+class CoverPartition:
+    """A vertex cover together with its three layers.
+
+    ``cover_partition`` builds it.  It holds the cover and its layers as
+    masks over the graph's mask table and turns them into the frozensets
+    ``cover``, ``l1``, ``l2`` and ``l3`` on their first read, so the
+    strength test never builds a set.  It is immutable and compares,
+    hashes and prints by those four sets.
+    """
+
+    __slots__ = ("_table", "_masks", "_sets")
+
+    def __init__(self, table: _CoverMasks, cover: int, l1: int, l2: int, l3: int):
+        self._table = table
+        self._masks = (cover, l1, l2, l3)
+        self._sets: tuple[frozenset[str], ...] | None = None
+
+    def _layers(self) -> tuple[frozenset[str], ...]:
+        sets = self._sets
+        if sets is None:
+            sets = self._sets = tuple(map(self._table.names, self._masks))
+        return sets
+
+    @property
+    def cover(self) -> frozenset[str]:
+        return self._layers()[0]
+
+    @property
+    def l1(self) -> frozenset[str]:
+        return self._layers()[1]
+
+    @property
+    def l2(self) -> frozenset[str]:
+        return self._layers()[2]
+
+    @property
+    def l3(self) -> frozenset[str]:
+        return self._layers()[3]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoverPartition):
+            return NotImplemented
+        return self._layers() == other._layers()
+
+    def __hash__(self) -> int:
+        return hash(self._layers())
+
+    def __repr__(self) -> str:
+        cover, l1, l2, l3 = self._layers()
+        return f"CoverPartition(cover={cover!r}, l1={l1!r}, l2={l2!r}, l3={l3!r})"
+
+    def to_json(self, g: WeightedOrientedGraph) -> dict:
+        return {
+            "cover": list(g.sort_vertices(self.cover)),
+            "L1": list(g.sort_vertices(self.l1)),
+            "L2": list(g.sort_vertices(self.l2)),
+            "L3": list(g.sort_vertices(self.l3)),
+        }
+
+    def is_strong(self, g: WeightedOrientedGraph) -> bool:
+        """True iff every L3 vertex has an in-neighbor of weight >= 2 in L2 or L3.
+
+        The graph is the one the partition was built on; its masks are read
+        from the partition's table.
+        """
+        table = self._table
+        cover, l1, _, l3 = self._masks
+        feeders = table.heavy & cover & ~l1
+        into, n = table.into, table.n
+        while l3:
+            low = l3 & -l3
+            if not into[n - low.bit_length()] & feeders:
+                return False
+            l3 ^= low
+        return True
+
+
+def is_vertex_cover(g: WeightedOrientedGraph, cover: Iterable[str]) -> bool:
+    """True iff every edge has an endpoint in the given set."""
+    masks = _cover_masks(g)
+    return masks.is_cover(masks.mask(cover))
+
+
+def cover_partition(g: WeightedOrientedGraph, cover: Iterable[str]) -> CoverPartition:
+    """Split a vertex cover into the layers L1, L2, L3."""
+    cover = _vertex_set(cover)
+    masks = _cover_masks(g)
+    parts = masks.partition(masks.mask(cover))
+    if parts is None:
+        raise ValueError(f"{sorted(cover)} is not a vertex cover")
+    return parts
+
+
+def is_strong_cover(g: WeightedOrientedGraph, cover: Iterable[str]) -> bool:
+    """True iff cover is a vertex cover whose L3 layer is properly fed.
+
+    Properly fed: every L3 vertex has an in-neighbor of weight >= 2 lying
+    in L2 or L3.  A set that is not a vertex cover returns False.
+    """
+    cover = _vertex_set(cover)
+    return is_vertex_cover(g, cover) and cover_partition(g, cover).is_strong(g)
 
 
 def _sorted_covers(covers: Iterable[tuple[int, frozenset[str]]]) -> list[frozenset[str]]:
@@ -243,7 +369,7 @@ def enumerate_strong_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
     nonempty set would have an unfed L3 vertex).
     """
     _check_cap(g)
-    return _sorted_covers(_CoverMasks(g).strong_covers(g, stop_at_strong=False))
+    return _sorted_covers(_cover_masks(g).strong_covers(g, stop_at_strong=False))
 
 
 def _maximal_covers(
@@ -255,10 +381,10 @@ def _maximal_covers(
     cover already kept: every cover lies in a maximal one, and a larger cover
     is never inside a smaller one.
     """
-    position = g._position
+    bit = _cover_masks(g).bit
     kept: list[tuple[int, frozenset[str]]] = []
     for cover in reversed(covers):
-        mask = sum(1 << position[v] for v in cover)
+        mask = sum(map(bit.__getitem__, cover))
         if all(mask & ~other for other, _ in kept):
             kept.append((mask, cover))
     return [c for _, c in reversed(kept)]
@@ -272,7 +398,7 @@ def maximal_strong_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
     filter then drops.
     """
     _check_cap(g)
-    strong = _CoverMasks(g).strong_covers(g, stop_at_strong=True)
+    strong = _cover_masks(g).strong_covers(g, stop_at_strong=True)
     return _maximal_covers(g, _sorted_covers(strong))
 
 
@@ -284,9 +410,9 @@ def minimal_vertex_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
     maximal; for the edgeless graph that leaves the empty cover.
     """
     _check_cap(g)
-    masks = _CoverMasks(g)
+    masks = _cover_masks(g)
     return _sorted_covers(
-        (mask, masks.cover(mask))
+        (mask, masks.names(mask))
         for mask, closed in masks.vertex_covers()
         if closed == masks.full
     )

@@ -19,7 +19,9 @@ from collections.abc import Iterable, Mapping, Sequence
 
 class WeightedOrientedGraph:
 
-    __slots__ = ("_vertices", "_position", "_edges", "_weights", "_out", "_in")
+    __slots__ = (
+        "_vertices", "_position", "_edges", "_weights", "_out", "_in", "_cover_masks",
+    )
 
     def __init__(
         self,
@@ -84,6 +86,8 @@ class WeightedOrientedGraph:
         self._weights = wmap
         self._out = {v: frozenset(s) for v, s in out.items()}
         self._in = {v: frozenset(s) for v, s in inc.items()}
+        # bitmask tables of the cover tests, built by covers on first use
+        self._cover_masks = None
 
     @property
     def vertices(self) -> tuple[str, ...]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .covers import cover_partition, enumerate_strong_covers, is_vertex_cover
+from .covers import _vertex_set, cover_partition, enumerate_strong_covers, is_vertex_cover
 from .graphs import WeightedOrientedGraph
 from .monomials import Monomial, MonomialIdeal, intersect_all
 
@@ -46,7 +46,7 @@ def irreducible_component(
     g: WeightedOrientedGraph, cover: Iterable[str]
 ) -> IrreducibleComponent:
     """The irreducible ideal attached to a strong cover."""
-    cover = frozenset(cover)
+    cover = _vertex_set(cover)
     parts = cover_partition(g, cover) if is_vertex_cover(g, cover) else None
     if parts is None or not parts.is_strong(g):
         raise ValueError(f"{sorted(cover)} is not a strong vertex cover")

@@ -22,7 +22,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
-from .covers import _maximal_covers, is_strong_cover, maximal_strong_covers
+from .covers import _maximal_covers, _vertex_set, is_strong_cover, maximal_strong_covers
 from .graphs import WeightedOrientedGraph
 from .ideals import IrreducibleComponent, edge_ideal, irreducible_decomposition
 from .monomials import Monomial, MonomialIdeal, intersect_all
@@ -39,7 +39,7 @@ def q_sub_p(g: WeightedOrientedGraph, prime: frozenset[str]) -> MonomialIdeal:
     whose cover lies inside P (Cooper-Embree-Hà-Hoefel, 2017).  The prime
     must be a non-empty strong cover, i.e. an associated prime.
     """
-    prime = frozenset(prime)
+    prime = _vertex_set(prime)
     if not prime or not is_strong_cover(g, prime):
         raise ValueError(f"{sorted(prime)} is not an associated prime here")
     return edge_ideal(g).saturate(set(g.vertices) - prime)

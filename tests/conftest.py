@@ -3,13 +3,15 @@
 The cover oracles below test every vertex subset against the raw edge
 list and recompute adjacency and the cover layers from it on purpose:
 they are the reference the library's enumeration is checked against, so
-they must not reuse that code path.
+they must not reuse that code path.  The set-based cover partition below
+is the reference for the library's bitmask layers in the same way.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -74,6 +76,66 @@ def brute_force_strong_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
         if good:
             found.append(c)
     return found
+
+
+@dataclass(frozen=True)
+class ReferencePartition:
+    """A vertex cover and its layers as plain sets, a frozen record."""
+
+    cover: frozenset[str]
+    l1: frozenset[str]
+    l2: frozenset[str]
+    l3: frozenset[str]
+
+    def to_json(self, g: WeightedOrientedGraph) -> dict:
+        return {
+            "cover": list(g.sort_vertices(self.cover)),
+            "L1": list(g.sort_vertices(self.l1)),
+            "L2": list(g.sort_vertices(self.l2)),
+            "L3": list(g.sort_vertices(self.l3)),
+        }
+
+    def is_strong(self, g: WeightedOrientedGraph) -> bool:
+        """Every L3 vertex has an in-neighbor of weight >= 2 in L2 or L3."""
+        feeders = self.cover - self.l1
+        weights = g.weights
+        return all(
+            any(u in feeders and weights[u] >= 2 for u in g.in_neighbors(v))
+            for v in self.l3
+        )
+
+
+def reference_is_vertex_cover(g: WeightedOrientedGraph, cover) -> bool:
+    """Every edge has an endpoint in the set, read off the raw edge list."""
+    cover = frozenset(cover)
+    unknown = cover.difference(g.vertices)
+    if unknown:
+        raise ValueError(f"unknown vertex {next(iter(unknown))!r}")
+    return all(t in cover or h in cover for t, h in g.edges)
+
+
+def reference_cover_partition(g: WeightedOrientedGraph, cover) -> ReferencePartition:
+    """The layers of a vertex cover, one vertex at a time on name sets."""
+    cover = frozenset(cover)
+    if not reference_is_vertex_cover(g, cover):
+        raise ValueError(f"{sorted(cover)} is not a vertex cover")
+    l1, l2, l3 = set(), set(), set()
+    for v in cover:
+        if not g.out_neighbors(v) <= cover:
+            l1.add(v)
+        elif not g.in_neighbors(v) <= cover:
+            l2.add(v)
+        else:
+            l3.add(v)
+    return ReferencePartition(cover, frozenset(l1), frozenset(l2), frozenset(l3))
+
+
+def reference_is_strong_cover(g: WeightedOrientedGraph, cover) -> bool:
+    """A vertex cover whose L3 layer is fed, by the reference partition."""
+    cover = frozenset(cover)
+    return reference_is_vertex_cover(g, cover) and (
+        reference_cover_partition(g, cover).is_strong(g)
+    )
 
 
 def brute_force_maximal_strong_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:

@@ -15,12 +15,14 @@ from oriented_ideals import (
     cover_partition,
     covers,
     enumerate_strong_covers,
+    irreducible_component,
     is_strong_cover,
     is_vertex_cover,
     maximal_strong_covers,
     minimal_vertex_covers,
     oriented_cycle,
     oriented_line,
+    q_sub_p,
     random_graph,
 )
 from oriented_ideals.covers import CAP_ENV_VAR
@@ -29,6 +31,9 @@ from conftest import (
     brute_force_maximal_strong_covers,
     brute_force_minimal_vertex_covers,
     brute_force_strong_covers,
+    reference_cover_partition,
+    reference_is_strong_cover,
+    reference_is_vertex_cover,
 )
 
 
@@ -69,6 +74,30 @@ def test_partition_full_cover_is_all_l3():
     p = cover_partition(LINE3, set(LINE3.vertices))
     assert p.l3 == set(LINE3.vertices)
     assert p.l1 == p.l2 == frozenset()
+
+
+def test_partition_is_immutable():
+    p = cover_partition(LINE3, {"x1", "x3"})
+    for name in ("cover", "l1", "l2", "l3", "layers"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, frozenset())
+    assert p.cover == {"x1", "x3"} and p.l1 == {"x1"}
+    assert repr(p) == (
+        f"CoverPartition(cover={p.cover!r}, l1={p.l1!r}, l2={p.l2!r}, l3={p.l3!r})"
+    )
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [is_vertex_cover, cover_partition, is_strong_cover, irreducible_component, q_sub_p],
+)
+def test_bare_string_is_not_a_set_of_names(fn):
+    # read as a set of characters, "ab" would be the cover {a, b} of a -> b
+    g = WeightedOrientedGraph(("ab", "a", "b"), [("a", "b")])
+    with pytest.raises(TypeError, match="not 'ab'"):
+        fn(g, "ab")
+    with pytest.raises(TypeError, match="not 'x'"):
+        fn(g, "x")
 
 
 def test_partition_rejects_non_cover():
@@ -327,3 +356,120 @@ def test_cycle18_maximal_scan_stops_at_the_root(strength_tests):
     g = oriented_cycle(18, (2,) * 18)
     assert maximal_strong_covers(g) == [frozenset(g.vertices)]
     assert strength_tests == [frozenset(g.vertices)]
+
+
+def _vertex_subsets(g):
+    vs = g.vertices
+    for r in range(len(vs) + 1):
+        yield from map(frozenset, itertools.combinations(vs, r))
+
+
+def _error(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def _reference_graphs(family):
+    if family == "random":
+        rng = random.Random(1313)
+        return [random_graph(rng, n_min=0, n_max=8) for _ in range(30)]
+    if family == "heavy-cycles":
+        return [oriented_cycle(n, (2,) * n) for n in range(3, 9)]
+    return [oriented_line(5, w) for w in itertools.product((1, 2, 3), repeat=5)]
+
+
+@pytest.mark.parametrize("family", ["random", "heavy-cycles", "lines"])
+def test_mask_tests_match_set_reference(family):
+    for g in _reference_graphs(family):
+        # the same graph built again, with a mask table of its own
+        twin = WeightedOrientedGraph(g.vertices, g.edges, g.weights)
+        previous = None
+        for c in _vertex_subsets(g):
+            covered = reference_is_vertex_cover(g, c)
+            assert is_vertex_cover(g, c) == covered
+            assert is_strong_cover(g, c) == reference_is_strong_cover(g, c)
+            if not covered:
+                assert _error(cover_partition, g, c) == _error(
+                    reference_cover_partition, g, c
+                )
+                continue
+            p = cover_partition(g, c)
+            ref = reference_cover_partition(g, c)
+            assert (p.cover, p.l1, p.l2, p.l3) == (ref.cover, ref.l1, ref.l2, ref.l3)
+            assert p.to_json(g) == ref.to_json(g)
+            assert p.is_strong(g) == ref.is_strong(g)
+            assert hash(p) == hash(ref)
+            again = cover_partition(twin, list(c))
+            assert p == cover_partition(g, set(c)) == again
+            assert hash(again) == hash(p)
+            assert p != previous and again != previous
+            previous = p
+
+
+def test_unknown_vertex_message_matches_reference():
+    g = oriented_line(3, (1, 2, 2))
+    for fn, ref in (
+        (is_vertex_cover, reference_is_vertex_cover),
+        (cover_partition, reference_cover_partition),
+        (is_strong_cover, reference_is_strong_cover),
+    ):
+        for bad in ({"nope"}, ["x1", "nope"], ("x1", "x2", "x3", "nope")):
+            assert _error(fn, g, bad) == _error(ref, g, bad) == "unknown vertex 'nope'"
+
+
+def _names_of(g, mask):
+    """The vertices of a mask with the first vertex on the highest bit."""
+    n = len(g.vertices)
+    return frozenset(v for i, v in enumerate(g.vertices) if mask >> (n - 1 - i) & 1)
+
+
+# no vertices, one vertex, and both sides of each 6-bit chunk boundary up to
+# the cap, edgeless and as a path with every third vertex left isolated
+@pytest.mark.parametrize("n", [0, 1, 6, 7, 12, 13, 20])
+@pytest.mark.parametrize("shape", ["edgeless", "path-and-isolated"])
+def test_mask_table_names_every_chunk(n, shape):
+    edges = []
+    if shape != "edgeless":
+        kept = [i for i in range(n) if i % 3 != 2]
+        edges = list(zip(kept, kept[1:]))
+    g = _graph(n, edges, [1 + i % 2 for i in range(n)])
+    masks = covers._cover_masks(g)
+    full = (1 << n) - 1
+    rng = random.Random(n)
+    probes = [0, full, *(1 << k for k in range(n)), *(rng.getrandbits(n) for _ in range(50))]
+    for mask in probes:
+        names = masks.names(mask)
+        assert names == _names_of(g, mask)
+        assert masks.mask(names) == mask
+    assert masks.names(full) == frozenset(g.vertices)
+    assert is_vertex_cover(g, g.vertices)
+    assert cover_partition(g, g.vertices).to_json(g)["cover"] == list(g.vertices)
+
+
+def test_mask_table_is_built_once_per_graph(monkeypatch):
+    built = []
+
+    class Counting(covers._CoverMasks):
+        def __init__(self, g):
+            built.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(covers, "_CoverMasks", Counting)
+    g = oriented_line(6, (1, 2, 2, 1, 2, 2))
+    # a new graph carries no table until a cover call needs one
+    assert g._cover_masks is None
+    first = enumerate_strong_covers(g)
+    table = g._cover_masks
+    assert enumerate_strong_covers(g) == first
+    maximal_strong_covers(g)
+    minimal_vertex_covers(g)
+    assert is_strong_cover(g, {"x2", "x4", "x6"})
+    cover_partition(g, g.vertices)
+    assert built == [g] and g._cover_masks is table
+
+    sub = g.induced_subgraph(["x1", "x2", "x3"])
+    assert sub._cover_masks is None
+    assert enumerate_strong_covers(sub) == brute_force_strong_covers(sub)
+    assert built == [g, sub]
+    assert sub._cover_masks is not table and g._cover_masks is table
