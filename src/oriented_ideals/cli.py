@@ -23,7 +23,7 @@ from .covers import (
     maximal_strong_covers,
     minimal_vertex_covers,
 )
-from .graphs import WeightedOrientedGraph, oriented_line, rooted_tree
+from .graphs import WeightedOrientedGraph, oriented_cycle, oriented_line, rooted_tree
 from .ideals import (
     decomposition_intersection,
     edge_ideal,
@@ -257,8 +257,6 @@ def _verify_checks(args: argparse.Namespace) -> list:
         checks.append(
             check_full_cover_equality(oriented_line(3, (2, 2, 2)), s_max)
         )
-        from .graphs import oriented_cycle
-
         checks.append(
             check_full_cover_equality(oriented_cycle(3, (2, 2, 2)), s_max)
         )

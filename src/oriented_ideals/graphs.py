@@ -174,7 +174,9 @@ class WeightedOrientedGraph:
     def from_json(cls, data: Mapping) -> WeightedOrientedGraph:
         """Build from {"vertices": [...], "edges": [[t, h], ...], "weights": {...}}.
 
-        Vertices missing from "weights" default to weight 1, with a warning.
+        Vertices missing from "weights", or all of them when the key is
+        absent, default to weight 1, with a warning.  A "weights" value that
+        is not an object, even an empty array or null, raises ValueError.
         """
         try:
             vertices = data["vertices"]
@@ -196,7 +198,7 @@ class WeightedOrientedGraph:
             ):
                 raise ValueError(f"edge {e!r} must be a [tail, head] pair of names")
             edges.append((e[0], e[1]))
-        weights = data.get("weights") or {}
+        weights = data.get("weights", {})
         if not isinstance(weights, Mapping):
             raise ValueError(f"weights must map vertex names to integers, got {weights!r}")
         for v, w in weights.items():

@@ -1,12 +1,16 @@
-"""Exact arithmetic for monomials and monomial ideals.
+"""Exact arithmetic for monomial ideals, and named monomials for input and output.
 
-A monomial is a power product of variables, stored sparsely as a mapping
-from variable name to positive exponent; the identity monomial is the
-empty mapping.  A monomial ideal lives in a fixed ambient polynomial ring,
-given as an ordered tuple of variable names, and is always kept in
-canonical form: the unique minimal generating set, sorted by total degree
-and then lexicographically in the ambient variable order.  Everything is
-exact integer arithmetic; there are no coefficients anywhere.
+A Monomial names its exponents: a mapping from variable name to positive
+exponent, the identity monomial being the empty mapping.  It is only a
+value for input and output (generators, witnesses, membership queries)
+and has no arithmetic of its own; all arithmetic is on ideals, over the
+packed rows below.
+
+A monomial ideal lives in a fixed ambient polynomial ring, given as an
+ordered tuple of variable names, and is always kept in canonical form:
+the unique minimal generating set, sorted by total degree and then
+lexicographically in the ambient variable order.  Everything is exact
+integer arithmetic; there are no coefficients anywhere.
 
 A generator of an ideal is an exponent row, one int per variable in
 ambient order, and an ideal stores its rows only packed (the packed
@@ -64,7 +68,11 @@ from operator import lshift
 
 
 class Monomial:
-    """An exponent vector with named variables, e.g. x1*x3^2."""
+    """An exponent vector with named variables, e.g. x1*x3^2.
+
+    A value for input and output only: it parses, formats, compares and
+    hashes, and reads an exponent by name.
+    """
 
     __slots__ = ("_exps", "_hash")
 
@@ -107,51 +115,11 @@ class Monomial:
             exps[var] = e
         return cls(exps)
 
-    @property
-    def exponents(self) -> dict[str, int]:
-        return dict(self._exps)
-
-    @property
-    def support(self) -> frozenset[str]:
-        return frozenset(self._exps)
-
-    @property
-    def degree(self) -> int:
-        return sum(self._exps.values())
-
-    @property
-    def is_identity(self) -> bool:
-        return not self._exps
-
     def __getitem__(self, var: str) -> int:
         return self._exps.get(var, 0)
 
     def items(self) -> Iterable[tuple[str, int]]:
         return self._exps.items()
-
-    def divides(self, other: Monomial) -> bool:
-        other_exps = other._exps
-        return all(other_exps.get(v, 0) >= e for v, e in self._exps.items())
-
-    def lcm(self, other: Monomial) -> Monomial:
-        exps = dict(self._exps)
-        for v, e in other._exps.items():
-            if e > exps.get(v, 0):
-                exps[v] = e
-        return Monomial(exps)
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        exps = dict(self._exps)
-        for v, e in other._exps.items():
-            exps[v] = exps.get(v, 0) + e
-        return Monomial(exps)
-
-    def __pow__(self, k: int) -> Monomial:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ValueError(f"monomial power must be a nonnegative int, got {k!r}")
-        return Monomial({v: e * k for v, e in self._exps.items()})
 
     def format(self, order: Sequence[str] | None = None) -> str:
         """Render as "x1*x3^2", listing variables in the given order."""

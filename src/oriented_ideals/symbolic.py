@@ -32,6 +32,16 @@ class InvariantError(RuntimeError):
     """Raised when a result breaks an invariant the theory guarantees."""
 
 
+def _require_positive(name: str, value: int) -> None:
+    """Reject an exponent, a sweep bound or a weight below 1, or a bool.
+
+    A sweep bound below 1 would check nothing and still pass, and a weight
+    below 1 is no weighting at all, so neither may become a skip.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def q_sub_p(g: WeightedOrientedGraph, prime: frozenset[str]) -> MonomialIdeal:
     """The edge ideal localized at an associated prime, Q_{⊆P}.
 
@@ -104,8 +114,7 @@ def symbolic_power(g: WeightedOrientedGraph, s: int) -> MonomialIdeal:
 
     The zero ideal is its own symbolic power.
     """
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise ValueError(f"symbolic power wants an integer s >= 1, got {s!r}")
+    _require_positive("s", s)
     ideal = edge_ideal(g)
     if ideal.is_zero:
         return ideal
@@ -121,8 +130,7 @@ def symbolic_power_oracle(g: WeightedOrientedGraph, s: int) -> MonomialIdeal:
     symbolic_power localizes first, so it serves as a cross-check of
     symbolic_power.
     """
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise ValueError(f"symbolic power wants an integer s >= 1, got {s!r}")
+    _require_positive("s", s)
     ideal = edge_ideal(g)
     if ideal.is_zero:
         return ideal
@@ -196,8 +204,7 @@ def _compare(
     g: WeightedOrientedGraph, s_max: int
 ) -> tuple[EqualityReport, MonomialIdeal, MonomialIdeal]:
     """compare_powers, together with I^s and its symbolic power at s = s_max."""
-    if not isinstance(s_max, int) or isinstance(s_max, bool) or s_max < 1:
-        raise ValueError(f"s_max must be an integer >= 1, got {s_max!r}")
+    _require_positive("s_max", s_max)
     ideal = edge_ideal(g)
     components = irreducible_decomposition(g) if not ideal.is_zero else []
 

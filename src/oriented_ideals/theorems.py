@@ -27,7 +27,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .covers import (
-    enumerate_strong_covers,
     is_strong_cover,
     maximal_strong_covers,
     minimal_vertex_covers,
@@ -41,7 +40,6 @@ from .graphs import (
 from .ideals import (
     decomposition_intersection,
     edge_ideal,
-    irreducible_component,
     irreducible_decomposition,
 )
 from .monomials import Monomial, MonomialIdeal, intersect_all
@@ -49,6 +47,7 @@ from .symbolic import (
     _compare,
     _powers_up_to,
     _prime_complements,
+    _require_positive,
     _saturated_meet,
     compare_powers,
     q_sub_p,
@@ -99,16 +98,6 @@ def _skip(check: str, instance: str, notice: str) -> CheckResult:
         passed=False,
         details={"notice": notice},
     )
-
-
-def _require_positive(name: str, value: int) -> None:
-    """Reject a sweep bound or a weight below 1.
-
-    A sweep bound below 1 would check nothing and still pass, and a weight
-    below 1 is no weighting at all, so neither may become a skip.
-    """
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def check_full_cover_equality(g: WeightedOrientedGraph, s_max: int = 3) -> CheckResult:
@@ -214,21 +203,22 @@ def check_broom_equality(
     tree_part = broom.induced_subgraph(tree.vertices)
     tree_ideal = edge_ideal(tree_part).with_ambient(ambient)
 
-    strong = enumerate_strong_covers(broom)
+    # a broom has edges, so its components are indexed by all its strong
+    # covers, in scan order
     through_x = []
     through_y = []
     stray = []
-    for c in strong:
+    for comp in irreducible_decomposition(broom):
+        c = comp.cover
         if x in c and y not in c and root in c:
-            through_x.append(c)
+            through_x.append(comp.ideal)
         elif y in c and x not in c:
-            through_y.append(c)
+            through_y.append(comp.ideal)
         else:
             stray.append(c)
 
-    comps = {c.cover: c for c in (irreducible_component(broom, cv) for cv in strong)}
-    computed_1 = intersect_all([comps[c].ideal for c in through_x], ambient=ambient)
-    computed_2 = intersect_all([comps[c].ideal for c in through_y], ambient=ambient)
+    computed_1 = intersect_all(through_x, ambient=ambient)
+    computed_2 = intersect_all(through_y, ambient=ambient)
 
     w_root = broom.weight(root)
     predicted_1 = MonomialIdeal(

@@ -150,34 +150,25 @@ def brute_force_minimal_vertex_covers(g: WeightedOrientedGraph) -> list[frozense
     return [c for c in covers if not any(d < c for d in covers)]
 
 
-def all_monomials_up_to(variables: tuple[str, ...], max_degree: int) -> list[Monomial]:
-    """Every monomial in the given variables of total degree <= max_degree."""
-    out = []
-
-    def build(idx: int, remaining: int, exps: dict[str, int]) -> None:
-        if idx == len(variables):
-            out.append(Monomial(exps))
-            return
-        for e in range(remaining + 1):
-            if e:
-                exps[variables[idx]] = e
-            build(idx + 1, remaining - e, exps)
-            exps.pop(variables[idx], None)
-
-    build(0, max_degree, {})
-    return out
+def all_rows_up_to(n: int, max_degree: int) -> list[tuple[int, ...]]:
+    """Every exponent row of n variables of total degree <= max_degree."""
+    if n == 0:
+        return [()]
+    return [
+        (e,) + rest
+        for e in range(max_degree + 1)
+        for rest in all_rows_up_to(n - 1, max_degree - e)
+    ]
 
 
-def brute_force_member(
-    generators, m: Monomial, variables: tuple[str, ...]
-) -> bool:
-    """Is m a generator times some monomial?  Checked by enumeration."""
-    for g in generators:
-        slack = m.degree - g.degree
+def brute_force_member(generator_rows, row: tuple[int, ...]) -> bool:
+    """Is row a generator row plus some exponent row?  Checked by enumeration."""
+    for g in generator_rows:
+        slack = sum(row) - sum(g)
         if slack < 0:
             continue
-        for u in all_monomials_up_to(variables, slack):
-            if g * u == m:
+        for u in all_rows_up_to(len(row), slack):
+            if tuple(x + y for x, y in zip(g, u)) == row:
                 return True
     return False
 

@@ -224,6 +224,12 @@ BAD_TYPES = {
     "integer edge endpoint": {**LINE3, "edges": [["x1", 2]]},
     "edge not a pair": {**LINE3, "edges": ["x1"]},
     "weights not an object": {**LINE3, "weights": [1, 2, 2]},
+    # falsy values are no object either, not a missing weights key
+    "weights an empty array": {**LINE3, "weights": []},
+    "weights zero": {**LINE3, "weights": 0},
+    "weights false": {**LINE3, "weights": False},
+    "weights an empty string": {**LINE3, "weights": ""},
+    "weights null": {**LINE3, "weights": None},
     "graph not an object": [1, 2, 3],
     # list("abc") and the keys of an object would read as three vertex names
     "vertices a string": {"vertices": "abc", "edges": [["a", "b"]], "weights": {}},

@@ -164,6 +164,10 @@ def test_json_missing_weight_warns():
         g = WeightedOrientedGraph.from_json(data)
     assert g.weight("b") == 1
     assert g.weight("a") == 2
+    # with no weights key at all, every vertex defaults
+    with pytest.warns(UserWarning, match="no weight given for a, b"):
+        g = WeightedOrientedGraph.from_json({"vertices": ["a", "b"], "edges": []})
+    assert g.weights == {"a": 1, "b": 1}
 
 
 def test_json_shape_errors():
@@ -182,6 +186,11 @@ def test_json_shape_errors():
         {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"a": 2.0}},
         {"vertices": ["a", "b"], "edges": [["a", None]], "weights": {}},
         {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": ["a"]},
+        # a falsy value is no object either, so it is not read as no weights
+        *(
+            {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": falsy}
+            for falsy in ([], 0, False, "", None)
+        ),
     ):
         with pytest.raises(ValueError):
             WeightedOrientedGraph.from_json(bad)

@@ -35,40 +35,17 @@ def ideal(*gens: str, ambient=X5) -> MonomialIdeal:
 
 def test_identity_monomial():
     one = Monomial()
-    assert one.is_identity
-    assert one.degree == 0
+    assert not dict(one.items())
+    assert one["x1"] == 0
     assert str(one) == "1"
-    assert one.divides(m("x1*x2^2"))
+    assert ideal("1").contains(m("x1*x2^2"))
     assert one == m("1")
 
 
 def test_zero_exponents_not_stored():
     assert Monomial({"x1": 0, "x2": 3}) == Monomial({"x2": 3})
-    assert Monomial({"x1": 0}).is_identity
-
-
-def test_divides():
-    assert m("x2").divides(m("x1*x2^2"))
-    assert not m("x2^3").divides(m("x1*x2^2"))
-    assert not m("x3").divides(m("x1*x2^2"))
-    assert m("x1*x2^2").divides(m("x1*x2^2"))
-
-
-def test_lcm():
-    assert m("x1*x2^2").lcm(m("x2*x3")) == m("x1*x2^2*x3")
-    assert m("x1").lcm(Monomial()) == m("x1")
-
-
-def test_product_and_power():
-    assert m("x1*x2") * m("x2^2*x3") == m("x1*x2^3*x3")
-    assert m("x1*x3^2") ** 3 == m("x1^3*x3^6")
-    assert m("x1") ** 0 == Monomial()
-    with pytest.raises(ValueError):
-        m("x1") ** -1
-    # bool is an int subclass, but True is no exponent
-    for flag in (True, False):
-        with pytest.raises(ValueError):
-            m("x1") ** flag
+    assert Monomial({"x1": 0}) == Monomial()
+    assert dict(Monomial({"x1": 0, "x2": 3}).items()) == {"x2": 3}
 
 
 def test_monomial_validation():
@@ -137,7 +114,7 @@ def test_equal_values_hash_equal():
     routes = [square, a ** 2, ideal(*gens), ideal(*reversed(gens))]
     assert all(r == square for r in routes)
     assert len({hash(r) for r in routes}) == 1
-    product = m("x1") * m("x2^2")
+    product = m("x1*x2^2")
     for same in (
         m("x2^2*x1"),
         Monomial({"x2": 2, "x1": 1}),
@@ -206,6 +183,8 @@ def test_intersection():
     assert meet == MonomialIdeal(("x", "y", "z"), ["x*y^2", "y*z^2"])
     # intersecting with the unit ideal changes nothing
     assert a.intersect(MonomialIdeal.unit(("x", "y", "z"))) == a
+    # two principal ideals meet in the principal ideal of the lcm
+    assert ideal("x1*x2^2").intersect(ideal("x2*x3")) == ideal("x1*x2^2*x3")
 
 
 def test_intersect_all():
@@ -231,6 +210,11 @@ def test_contains_monomial():
     assert a.contains(m("x1^2*x2^3"))
     assert not a.contains(m("x1*x2"))
     assert a.contains("x1*x2^2*x5")
+    # a principal ideal contains exactly the multiples of its generator
+    assert ideal("x2").contains("x1*x2^2")
+    assert not ideal("x2^3").contains("x1*x2^2")
+    assert not ideal("x3").contains("x1*x2^2")
+    assert ideal("x1*x2^2").contains("x1*x2^2")
 
 
 def test_with_ambient():
@@ -267,20 +251,6 @@ monomials = exponent_maps.map(Monomial)
 ideals = st.lists(monomials, max_size=5).map(lambda gens: MonomialIdeal(X5, gens))
 
 
-@given(monomials, monomials)
-def test_lcm_divisibility(a, b):
-    j = a.lcm(b)
-    assert a.divides(j) and b.divides(j)
-    assert j.divides(a * b)
-
-
-@given(monomials, monomials)
-def test_divides_iff_product_witness(a, b):
-    if a.divides(b):
-        quotient = Monomial({v: b[v] - a[v] for v in b.support})
-        assert a * quotient == b
-
-
 @given(ideals)
 def test_canonical_form_is_idempotent(a):
     assert MonomialIdeal(X5, a.generators) == a
@@ -288,11 +258,11 @@ def test_canonical_form_is_idempotent(a):
 
 @given(ideals)
 def test_no_generator_divides_another(a):
-    gens = a.generators
-    for i, g in enumerate(gens):
-        for j, h in enumerate(gens):
+    rows = a._rows
+    for i, g in enumerate(rows):
+        for j, h in enumerate(rows):
             if i != j:
-                assert not g.divides(h)
+                assert not row_divides(g, h)
 
 
 @given(st.lists(monomials, max_size=5), st.randoms())
@@ -307,9 +277,10 @@ def test_intersection_membership(a, b):
     meet = a.intersect(b)
     for g in meet.generators:
         assert a.contains(g) and b.contains(g)
-    for g in a.generators:
-        for h in b.generators:
-            assert meet.contains(g.lcm(h))
+    for g in a._rows:
+        for h in b._rows:
+            (lcm,) = reference_intersection([g], [h])
+            assert meet.contains(Monomial(zip(X5, lcm)))
 
 
 @given(ideals, ideals)
@@ -341,15 +312,16 @@ def test_saturation_grows_and_is_idempotent(a, vs):
 @given(st.lists(monomials, min_size=1, max_size=3), monomials)
 def test_membership_matches_brute_force(gens, probe):
     a = MonomialIdeal(X5, gens)
-    assert a.contains(probe) == brute_force_member(a.generators, probe, X5)
+    row = tuple(probe[v] for v in X5)
+    assert a.contains(probe) == brute_force_member(a._rows, row)
 
 
 def test_membership_brute_force_spot_checks():
     rng = random.Random(7)
     a = ideal("x1*x2^2", "x2*x3^2", "x4^3")
     for _ in range(40):
-        probe = Monomial({v: rng.randint(0, 3) for v in X5})
-        assert a.contains(probe) == brute_force_member(a.generators, probe, X5)
+        row = tuple(rng.randint(0, 3) for _ in X5)
+        assert a.contains(Monomial(zip(X5, row))) == brute_force_member(a._rows, row)
 
 
 # --- differential test against the tuple reference kernel -----------------

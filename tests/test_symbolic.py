@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +29,7 @@ from oriented_ideals import (
 from oriented_ideals import symbolic
 
 from conftest import (
-    all_monomials_up_to,
+    all_rows_up_to,
     brute_force_member,
     component_q_sub_p,
     maximal_covers,
@@ -186,11 +188,10 @@ def test_symbolic_membership_matches_brute_force(g, s):
         power = rows
         for _ in range(s - 1):
             power = reference_product(power, rows)
-        local.append([Monomial(zip(g.vertices, row)) for row in power])
-    for m in all_monomials_up_to(g.vertices, MEMBERSHIP_DEGREE):
-        expected = bool(local) and all(
-            brute_force_member(gens_p, m, g.vertices) for gens_p in local
-        )
+        local.append(power)
+    for row in all_rows_up_to(len(g.vertices), MEMBERSHIP_DEGREE):
+        expected = bool(local) and all(brute_force_member(p, row) for p in local)
+        m = Monomial(zip(g.vertices, row))
         assert symbolic.contains(m) == expected, m
 
 
@@ -253,3 +254,73 @@ def test_compare_powers_confirms_its_witness(monkeypatch):
         compare_powers(LINE5, 3)
     # equal powers need no witness, so no membership test is made
     assert compare_powers(LINE5, 2).all_equal
+
+
+# --- an oracle from outside the paper -----------------------------------------
+#
+# With every weight 1 the edge ideal is the edge ideal of the underlying
+# simple graph.  Then I^(s) = I^s for every s exactly when the graph is
+# bipartite (Simis, Vasconcelos and Villarreal, On the ideal theory of graphs,
+# J. Algebra 1994).  An odd cycle of length 2k+1 makes them differ at s = k+1:
+# the product of its vertices lies in every minimal prime to the power k+1,
+# but its degree is too small for I^(k+1).  Neither symbolic route encodes
+# any of this.
+
+
+def odd_girth(n: int, edges) -> int | None:
+    """The length of a shortest odd cycle on vertices 0..n-1; None if bipartite.
+
+    An edge between two vertices at the same breadth-first distance d from
+    a root closes an odd closed walk of length 2d + 1, which holds an odd
+    cycle no longer; rooted on a shortest odd cycle, its edge opposite the
+    root is such an edge.  So the least 2d + 1 over all roots is the odd
+    girth.
+    """
+    neighbors = [[] for _ in range(n)]
+    for a, b in edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    lengths = []
+    for root in range(n):
+        dist = {root: 0}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in neighbors[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        lengths += [2 * dist[a] + 1 for a, b in edges if a in dist and dist[a] == dist[b]]
+    return min(lengths, default=None)
+
+
+def test_odd_girth_on_known_graphs():
+    assert odd_girth(2, [(0, 1)]) is None
+    assert odd_girth(4, [(0, 1), (1, 2), (2, 3), (3, 0)]) is None
+    assert odd_girth(3, [(0, 1), (1, 2), (2, 0)]) == 3
+    pentagon = [(i, (i + 1) % 5) for i in range(5)]
+    assert odd_girth(5, pentagon) == 5
+    assert odd_girth(5, pentagon + [(0, 2)]) == 3
+    # a triangle beside an isolated vertex and a separate edge
+    assert odd_girth(6, [(0, 1), (1, 2), (2, 0), (4, 5)]) == 3
+
+
+def test_unit_weights_first_differ_at_half_the_odd_girth():
+    seen = 0
+    outcomes = set()
+    for n in range(2, 6):
+        names = [f"x{i}" for i in range(1, n + 1)]
+        pairs = list(itertools.combinations(range(n), 2))
+        # every labeled graph on n vertices with at least one edge
+        for chosen in range(1, 1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if chosen >> k & 1]
+            g = WeightedOrientedGraph(names, [(names[a], names[b]) for a, b in edges])
+            girth = odd_girth(n, edges)
+            first = None if girth is None else (girth + 1) // 2
+            expected = first if first is not None and first <= 3 else None
+            assert compare_powers(g, 3).first_inequality == expected, edges
+            seen += 1
+            outcomes.add(expected)
+    assert seen == 1094
+    # bipartite graphs, triangles and a shortest odd cycle of five all occur
+    assert outcomes == {None, 2, 3}
