@@ -8,7 +8,7 @@ A vertex cover C splits into three layers:
 
 C is a strong cover when every L3 vertex receives an edge from an
 L2-or-L3 vertex of weight at least 2.  Minimal covers have empty L3, so
-they are always strong.
+they are always strong, and with every weight 1 they are the only ones.
 
 Every test here works on bitmasks.  Each graph carries one table of
 per-vertex bits and neighbor, in-neighbor and heavy-vertex masks, built
@@ -17,18 +17,18 @@ public call turns its set of names into a mask once; the layers are then
 unions of masks over the vertices outside C, and a ``CoverPartition``
 keeps them as masks, building its sets of names only when they are read.
 
-Enumeration is output-sensitive: the vertex covers are the complements of
-the independent sets, which a depth-first walk over per-vertex neighbor
-bitmasks lists once each, so the cost follows the number of covers rather
-than 2^n.  The strong-cover scans cut that walk twice.  A subtree is
-skipped when some L3 vertex is starved: it has no heavy feeder left and
-nothing the subtree may still add can change that, so no cover below is
-strong.  The scan for maximal strong covers also stops below each strong
-cover, since every cover in that subtree lies inside it.  So their cost
-follows the covers the walk cannot rule out, and every cover it visits
-still goes through the one strong-cover test, ``is_strong_cover``.  The
-walk is guarded by a cap on the vertex count, since a graph can still
-have exponentially many covers.  The cap is 20 vertices unless the
+Enumeration is one output-sensitive walk: the vertex covers are the
+complements of the independent sets, which a depth-first walk over
+per-vertex neighbor bitmasks reaches once each.  A subtree is skipped
+when some L3 vertex is starved: it has no heavy feeder left and nothing
+the subtree may still add can change that, so no cover below is strong.
+The scan for maximal strong covers also stops below each strong cover,
+since every cover in that subtree lies inside it, and the minimal covers
+are the strong covers of a unit-weight copy of the graph.  So each scan
+costs what the walk cannot rule out, and every cover it visits goes
+through the one strong-cover test, ``is_strong_cover``.  The walk is
+guarded by a cap on the vertex count, since a graph can still have
+exponentially many covers.  The cap is 20 vertices unless the
 ``ORIENTED_IDEAL_CAP`` environment variable sets it; that variable is the
 only setting, for the library and the CLI alike.
 """
@@ -36,7 +36,7 @@ only setting, for the library and the CLI alike.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from .graphs import WeightedOrientedGraph
 
@@ -166,33 +166,14 @@ class _CoverMasks:
         l3 = cover & ~reach
         return CoverPartition(self, cover, l1, cover ^ l1 ^ l3, l3)
 
-    def vertex_covers(self) -> Iterator[tuple[int, int]]:
-        """Every vertex cover once, as (cover mask, closed neighborhood mask).
-
-        The covers are the complements of the independent sets, listed
-        depth-first over increasing positions: a stack entry holds the next
-        position to try, the set so far and the vertices it forbids, and
-        adding vertex j forbids j and its neighbors.  The forbidden mask is
-        then the set's closed neighborhood, which is the full mask exactly
-        when the set is a maximal independent set.
-        """
-        bits, nbr, full = self.bits, self.nbr, self.full
-        n = len(bits)
-        stack = [(0, 0, 0)]
-        while stack:
-            i, chosen, forbidden = stack.pop()
-            yield full ^ chosen, forbidden
-            for j in range(i, n):
-                if not forbidden & bits[j]:
-                    stack.append((j + 1, chosen | bits[j], forbidden | nbr[j] | bits[j]))
-
     def strong_covers(
         self, g: WeightedOrientedGraph, stop_at_strong: bool
     ) -> list[tuple[int, frozenset[str]]]:
         r"""The strong covers the walk reaches, as (mask, cover), in walk order.
 
-        This is the walk of ``vertex_covers`` over independent sets S with
-        covers C = V \ S, which also carries L1, the in-neighbors of S.
+        The walk lists independent sets S, with covers C = V \ S, depth-first
+        over increasing positions; adding vertex j to S forbids j and its
+        neighbors and adds its in-neighbors to L1.
         Then L3 = V \ N[S] is the complement of the forbidden mask, and the
         feeders of the strength test are the heavy vertices of C \ L1.
         Each cover the walk visits goes through ``is_strong_cover``.
@@ -405,14 +386,8 @@ def maximal_strong_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
 def minimal_vertex_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
     """The inclusion-minimal vertex covers, sorted by size then position.
 
-    A cover is minimal exactly when each of its vertices has a neighbor
-    outside the cover, that is, when the independent set left outside is
-    maximal; for the edgeless graph that leaves the empty cover.
+    These are the strong covers of the graph with every weight 1: a cover
+    is minimal exactly when its L3 is empty, and with no heavy vertex no L3
+    vertex is fed.  The edgeless graph has the empty cover.
     """
-    _check_cap(g)
-    masks = _cover_masks(g)
-    return _sorted_covers(
-        (mask, masks.names(mask))
-        for mask, closed in masks.vertex_covers()
-        if closed == masks.full
-    )
+    return enumerate_strong_covers(WeightedOrientedGraph(g.vertices, g.edges))

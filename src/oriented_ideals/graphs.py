@@ -43,6 +43,8 @@ class WeightedOrientedGraph:
         seen_undirected: set[frozenset[str]] = set()
         edge_list: list[tuple[str, str]] = []
         for edge in edges:
+            if isinstance(edge, str):
+                raise TypeError(f"an edge must be a (tail, head) pair, not {edge!r}")
             tail, head = edge
             if tail not in position or head not in position:
                 raise ValueError(f"edge {edge!r} has an undeclared endpoint")
@@ -62,6 +64,8 @@ class WeightedOrientedGraph:
         edge_list.sort(key=lambda e: (position[e[0]], position[e[1]]))
 
         wmap = {}
+        if not isinstance(weights, (Mapping, type(None))):
+            raise TypeError(f"weights must map vertex names to integers, got {weights!r}")
         weights = dict(weights or {})
         for v in weights:
             if v not in position:

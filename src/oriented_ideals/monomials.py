@@ -129,7 +129,7 @@ class Monomial:
             vs = list(self._exps)
         else:
             vs = [v for v in order if v in self._exps]
-            vs += sorted(v for v in self._exps if v not in set(order))
+            vs += sorted(self._exps.keys() - set(order))
         return "*".join(v if self._exps[v] == 1 else f"{v}^{self._exps[v]}" for v in vs)
 
     def __str__(self) -> str:
@@ -270,6 +270,16 @@ class _Divisors:
         return ((spread - last) | fill) + ones & tops != 0
 
 
+def _checked_ambient(ambient: Sequence[str]) -> tuple[str, ...]:
+    """The ambient names as a tuple; a bare string or a repeated name is refused."""
+    if isinstance(ambient, str):
+        raise TypeError(f"ambient must be a sequence of names, not {ambient!r}")
+    ambient = tuple(ambient)
+    if len(set(ambient)) != len(ambient):
+        raise ValueError("ambient variables must be distinct")
+    return ambient
+
+
 class MonomialIdeal:
     """A monomial ideal in canonical form over a fixed variable order.
 
@@ -293,12 +303,7 @@ class MonomialIdeal:
         ambient: Sequence[str],
         generators: Iterable[Monomial | str] = (),
     ):
-        if isinstance(ambient, str):
-            raise TypeError(f"ambient must be a sequence of names, not {ambient!r}")
-        ambient = tuple(ambient)
-        if len(set(ambient)) != len(ambient):
-            raise ValueError("ambient variables must be distinct")
-        self._ambient = ambient
+        self._ambient = ambient = _checked_ambient(ambient)
         self._position = {v: i for i, v in enumerate(ambient)}
         self._generate([
             self._row(Monomial.from_str(g) if isinstance(g, str) else g)
@@ -541,8 +546,17 @@ class MonomialIdeal:
         return self._minimal(layout, {x & keep for x in self._pack(layout)})
 
     def with_ambient(self, ambient: Sequence[str]) -> MonomialIdeal:
-        """The same generators viewed in a different ambient ring."""
-        return MonomialIdeal(ambient, self.generators)
+        """The same generators viewed in a different ambient ring, remapped by position."""
+        ambient = _checked_ambient(ambient)
+        position = self._position
+        rows = [tuple(row[position[v]] if v in position else 0 for v in ambient)
+                for row in self._rows]
+        for row, new in zip(self._rows, rows):
+            if sum(new) != sum(row):
+                m = self._monomial(row)
+                v = next(v for v, _ in m.items() if v not in ambient)
+                raise ValueError(f"generator {m} uses {v!r}, not an ambient variable")
+        return MonomialIdeal._from_rows(ambient, rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialIdeal):

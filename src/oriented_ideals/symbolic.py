@@ -1,9 +1,10 @@
 """Symbolic powers of edge ideals, computed two independent ways.
 
-Route one localizes first: for each maximal associated prime P it forms
-Q_{⊆P}, the edge ideal saturated by the variables outside P (equal to
-the intersection of the components whose cover sits inside P), raises that
-to the s-th power, and intersects the results over all maximal P.  Route
+Route one localizes first: for each maximal associated prime P, read
+off the strong covers, it forms Q_{⊆P}, the edge ideal saturated by the
+variables outside P (equal to the intersection of the components whose
+cover sits inside P, which are never built), raises that to the s-th
+power, and intersects the results over all maximal P.  Route
 two takes the ordinary power first: it saturates I^s by the variables
 outside each maximal prime and intersects.  Primes below a maximal one
 contribute nothing to either intersection, so both routes restrict to
@@ -22,9 +23,11 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
-from .covers import _maximal_covers, _vertex_set, is_strong_cover, maximal_strong_covers
+from .covers import (
+    _maximal_covers, _vertex_set, enumerate_strong_covers, is_strong_cover, maximal_strong_covers
+)
 from .graphs import WeightedOrientedGraph
-from .ideals import IrreducibleComponent, edge_ideal, irreducible_decomposition
+from .ideals import edge_ideal, irreducible_decomposition
 from .monomials import Monomial, MonomialIdeal, intersect_all
 
 
@@ -56,15 +59,15 @@ def q_sub_p(g: WeightedOrientedGraph, prime: frozenset[str]) -> MonomialIdeal:
 
 
 def _localized_powers(
-    g: WeightedOrientedGraph, components: Sequence[IrreducibleComponent]
+    g: WeightedOrientedGraph, covers: Sequence[frozenset[str]]
 ) -> Iterator[list[MonomialIdeal]]:
     """Route one's pieces for s = 1, 2, ...: Q_{⊆P}^s for each maximal P.
 
-    The primes are the maximal covers among the components; each step
-    multiplies every running power by its Q_{⊆P} once, and only when the
-    next exponent is asked for.
+    The primes are the maximal ones among the strong covers, given sorted
+    by size then position; each step multiplies every running power by its
+    Q_{⊆P} once, and only when the next exponent is asked for.
     """
-    primes = _maximal_covers(g, [c.cover for c in components])
+    primes = _maximal_covers(g, covers)
     base = [q_sub_p(g, p) for p in primes]
     pieces = base
     while True:
@@ -75,7 +78,7 @@ def _localized_powers(
 def _powers_up_to(
     g: WeightedOrientedGraph,
     ideal: MonomialIdeal,
-    components: Sequence[IrreducibleComponent],
+    covers: Sequence[frozenset[str]],
     s_max: int,
 ) -> Iterator[tuple[int, MonomialIdeal, MonomialIdeal]]:
     """(s, I^s, symbolic power by route one) for s = 1..s_max.
@@ -85,7 +88,7 @@ def _powers_up_to(
     its own symbolic power.
     """
     ordinary = ideal
-    for s, pieces in zip(range(1, s_max + 1), _localized_powers(g, components)):
+    for s, pieces in zip(range(1, s_max + 1), _localized_powers(g, covers)):
         if s > 1:
             ordinary = ordinary * ideal
         symbolic = ideal if ideal.is_zero else intersect_all(pieces, ambient=g.vertices)
@@ -118,7 +121,7 @@ def symbolic_power(g: WeightedOrientedGraph, s: int) -> MonomialIdeal:
     ideal = edge_ideal(g)
     if ideal.is_zero:
         return ideal
-    powers = _localized_powers(g, irreducible_decomposition(g))
+    powers = _localized_powers(g, enumerate_strong_covers(g))
     return intersect_all(next(islice(powers, s - 1, None)), ambient=g.vertices)
 
 
@@ -206,10 +209,10 @@ def _compare(
     """compare_powers, together with I^s and its symbolic power at s = s_max."""
     _require_positive("s_max", s_max)
     ideal = edge_ideal(g)
-    components = irreducible_decomposition(g) if not ideal.is_zero else []
+    covers = [c.cover for c in irreducible_decomposition(g)] if not ideal.is_zero else []
 
     rows = []
-    for s, ordinary, symbolic in _powers_up_to(g, ideal, components, s_max):
+    for s, ordinary, symbolic in _powers_up_to(g, ideal, covers, s_max):
         if not symbolic.contains_ideal(ordinary):
             raise InvariantError(
                 f"I^{s} is not inside the symbolic power; the computation is broken"

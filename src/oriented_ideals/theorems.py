@@ -597,7 +597,7 @@ def random_regression(
             )
             continue
         complements = _prime_complements(g) if not ideal.is_zero else []
-        for s, ordinary, symbolic in _powers_up_to(g, ideal, comps, s_max):
+        for s, ordinary, symbolic in _powers_up_to(g, ideal, [c.cover for c in comps], s_max):
             if symbolic != _saturated_meet(g, ordinary, complements):
                 summary.failures.append(
                     {"graph": g.to_json(), "problem": "symbolic routes differ", "s": s}

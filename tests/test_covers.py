@@ -463,13 +463,17 @@ def test_mask_table_is_built_once_per_graph(monkeypatch):
     table = g._cover_masks
     assert enumerate_strong_covers(g) == first
     maximal_strong_covers(g)
-    minimal_vertex_covers(g)
     assert is_strong_cover(g, {"x2", "x4", "x6"})
     cover_partition(g, g.vertices)
     assert built == [g] and g._cover_masks is table
+    # the minimal scan walks a unit-weight copy, which builds its own table
+    minimal_vertex_covers(g)
+    unit = WeightedOrientedGraph(g.vertices, g.edges)
+    assert built == [g, unit] and built[1] is not g
+    assert g._cover_masks is table
 
     sub = g.induced_subgraph(["x1", "x2", "x3"])
     assert sub._cover_masks is None
     assert enumerate_strong_covers(sub) == brute_force_strong_covers(sub)
-    assert built == [g, sub]
+    assert built == [g, unit, sub]
     assert sub._cover_masks is not table and g._cover_masks is table

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import pytest
 
 from oriented_ideals import (
@@ -77,10 +79,29 @@ def test_vertices_given_as_one_string_rejected():
     assert WeightedOrientedGraph(["a", "b"], [("a", "b")]).vertices == ("a", "b")
 
 
+def test_edge_given_as_one_string_rejected():
+    # unpacking "ab" would load the edge a -> b
+    with pytest.raises(TypeError):
+        WeightedOrientedGraph(["a", "b"], ["ab"])
+    # a vertex may still be named by a two-letter string
+    g = WeightedOrientedGraph(["ab", "c"], [("ab", "c")])
+    assert g.edges == (("ab", "c"),)
+
+
+@pytest.mark.parametrize("weights", [[], 0, "", False, (), [("b", 3)], "b"])
+def test_weights_must_be_a_mapping(weights):
+    # dict(weights or {}) would read a falsy value as no weights at all, and
+    # a list of pairs as a mapping
+    with pytest.raises(TypeError, match="weights must map"):
+        WeightedOrientedGraph(("a", "b"), [("a", "b")], weights)
+
+
 def test_weights_default_to_one():
     g = WeightedOrientedGraph(("a", "b"), [("a", "b")], {"b": 3})
     assert g.weight("a") == 1
     assert g.weight("b") == 3
+    assert WeightedOrientedGraph(("a",), [], None).weight("a") == 1
+    assert WeightedOrientedGraph(("a",), [], MappingProxyType({"a": 2})).weight("a") == 2
 
 
 def test_induced_subgraph():

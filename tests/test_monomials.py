@@ -225,6 +225,26 @@ def test_with_ambient():
     with pytest.raises(ValueError):
         small.with_ambient(("x1",))
 
+    a = MonomialIdeal(("x", "y", "z", "w"), ["x*y^2", "z^3", "y*z"])
+    for ambient in (
+        ("z", "y", "x", "w"),  # reordered
+        ("u", "w", "z", "v", "y", "x"),  # wider
+        ("y", "z", "x"),  # narrower, dropping only the unused w
+    ):
+        moved = a.with_ambient(ambient)
+        reference = MonomialIdeal(ambient, a.generators)
+        assert moved.ambient == ambient and moved == reference
+        assert moved.generator_strings() == reference.generator_strings()
+        assert moved.with_ambient(a.ambient) == a
+    assert MonomialIdeal.zero(("x",)).with_ambient(("y", "x")).is_zero
+    assert MonomialIdeal.unit(("x",)).with_ambient(("y",)).is_unit
+    with pytest.raises(ValueError, match="uses 'z'"):
+        a.with_ambient(("x", "y", "w"))
+    with pytest.raises(ValueError, match="distinct"):
+        a.with_ambient(("x", "y", "z", "x"))
+    with pytest.raises(TypeError):
+        a.with_ambient("xyzw")
+
 
 def test_a_string_is_not_taken_as_a_list_of_names():
     # iterating "xy" gives the names "x" and "y"; saturating by them would

@@ -26,7 +26,7 @@ from oriented_ideals import (
     symbolic_power,
     symbolic_power_oracle,
 )
-from oriented_ideals import symbolic
+from oriented_ideals import ideals, symbolic
 
 from conftest import (
     all_rows_up_to,
@@ -160,6 +160,19 @@ def test_report_json_shape():
 @settings(max_examples=30, deadline=None)
 def test_symbolic_matches_saturation_oracle(g, s):
     assert symbolic_power(g, s) == symbolic_power_oracle(g, s)
+
+
+def test_symbolic_power_builds_no_component_ideal(monkeypatch):
+    rng = random.Random(15)
+    graphs = [LINE5, oriented_cycle(5, (1, 2, 2, 1, 2))]
+    graphs += [random_graph(rng, n_max=6) for _ in range(10)]
+    expected = [symbolic_power_oracle(g, 2) for g in graphs]
+
+    def no_component(g, cover):
+        raise AssertionError("symbolic_power built a component ideal")
+
+    monkeypatch.setattr(ideals, "irreducible_component", no_component)
+    assert [symbolic_power(g, 2) for g in graphs] == expected
 
 
 @given(small_graphs(), st.integers(min_value=1, max_value=3))
