@@ -469,8 +469,7 @@ def test_mask_table_is_built_once_per_graph(monkeypatch):
     # the minimal scan walks a unit-weight copy, which builds its own table
     minimal_vertex_covers(g)
     unit = WeightedOrientedGraph(g.vertices, g.edges)
-    assert built == [g, unit] and built[1] is not g
-    assert g._cover_masks is table
+    assert built == [g, unit] and g._cover_masks is table
 
     sub = g.induced_subgraph(["x1", "x2", "x3"])
     assert sub._cover_masks is None
