@@ -270,16 +270,6 @@ class _Divisors:
         return ((spread - last) | fill) + ones & tops != 0
 
 
-def _checked_ambient(ambient: Sequence[str]) -> tuple[str, ...]:
-    """The ambient names as a tuple; a bare string or a repeated name is refused."""
-    if isinstance(ambient, str):
-        raise TypeError(f"ambient must be a sequence of names, not {ambient!r}")
-    ambient = tuple(ambient)
-    if len(set(ambient)) != len(ambient):
-        raise ValueError("ambient variables must be distinct")
-    return ambient
-
-
 class MonomialIdeal:
     """A monomial ideal in canonical form over a fixed variable order.
 
@@ -303,7 +293,12 @@ class MonomialIdeal:
         ambient: Sequence[str],
         generators: Iterable[Monomial | str] = (),
     ):
-        self._ambient = ambient = _checked_ambient(ambient)
+        if isinstance(ambient, str):
+            raise TypeError(f"ambient must be a sequence of names, not {ambient!r}")
+        ambient = tuple(ambient)
+        if len(set(ambient)) != len(ambient):
+            raise ValueError("ambient variables must be distinct")
+        self._ambient = ambient
         self._position = {v: i for i, v in enumerate(ambient)}
         self._generate([
             self._row(Monomial.from_str(g) if isinstance(g, str) else g)
@@ -546,17 +541,8 @@ class MonomialIdeal:
         return self._minimal(layout, {x & keep for x in self._pack(layout)})
 
     def with_ambient(self, ambient: Sequence[str]) -> MonomialIdeal:
-        """The same generators viewed in a different ambient ring, remapped by position."""
-        ambient = _checked_ambient(ambient)
-        position = self._position
-        rows = [tuple(row[position[v]] if v in position else 0 for v in ambient)
-                for row in self._rows]
-        for row, new in zip(self._rows, rows):
-            if sum(new) != sum(row):
-                m = self._monomial(row)
-                v = next(v for v, _ in m.items() if v not in ambient)
-                raise ValueError(f"generator {m} uses {v!r}, not an ambient variable")
-        return MonomialIdeal._from_rows(ambient, rows)
+        """The same generators viewed in a different ambient ring."""
+        return MonomialIdeal(ambient, self.generators)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialIdeal):
