@@ -49,6 +49,7 @@ from .theorems import (
     check_line_characterization,
     check_line_cover_families,
     check_line_cubic_witness,
+    line_drop,
     line_equality_condition,
     random_graph,
     random_regression,
@@ -85,6 +86,7 @@ __all__ = [
     "irreducible_decomposition",
     "is_strong_cover",
     "is_vertex_cover",
+    "line_drop",
     "line_equality_condition",
     "maximal_strong_covers",
     "minimal_vertex_covers",

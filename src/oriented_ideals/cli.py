@@ -42,6 +42,7 @@ from .theorems import (
     check_line_characterization,
     check_line_cover_families,
     check_line_cubic_witness,
+    line_drop,
     random_regression,
 )
 
@@ -227,14 +228,7 @@ def _verify_checks(args: argparse.Namespace) -> list:
             weight_vectors = [(1, 2, 2, 1), (1, 2, 1, 1, 1), (1, 1, 1, 1, 1)]
         for wv in weight_vectors:
             checks.append(check_line_characterization(wv))
-            drop = next(
-                (
-                    i
-                    for i in range(2, len(wv) - 1)
-                    if wv[i - 1] >= 2 and wv[i] == 1
-                ),
-                None,
-            )
+            drop = line_drop(wv)
             if drop is not None:
                 checks.append(check_line_cubic_witness(wv, drop))
             families = check_line_cover_families(wv)

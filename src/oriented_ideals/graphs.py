@@ -32,11 +32,11 @@ class WeightedOrientedGraph:
         if isinstance(vertices, str):
             raise TypeError(f"vertices must be a sequence of names, not {vertices!r}")
         vertices = tuple(vertices)
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("vertex names must be distinct")
         for v in vertices:
             if not isinstance(v, str):
                 raise TypeError(f"vertex names must be strings, got {v!r}")
+        if len(set(vertices)) != len(vertices):
+            raise ValueError("vertex names must be distinct")
         position = {v: i for i, v in enumerate(vertices)}
 
         seen_directed: set[tuple[str, str]] = set()
@@ -181,6 +181,8 @@ class WeightedOrientedGraph:
         Vertices missing from "weights", or all of them when the key is
         absent, default to weight 1, with a warning.  A "weights" value that
         is not an object, even an empty array or null, raises ValueError.
+        The shape of the JSON is checked here; the types of the names and
+        weights are the constructor's, whose TypeError becomes ValueError.
         """
         try:
             vertices = data["vertices"]
@@ -190,9 +192,6 @@ class WeightedOrientedGraph:
         for key, value in (("vertices", vertices), ("edges", raw_edges)):
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{key} must be an array, got {value!r}")
-        for v in vertices:
-            if not isinstance(v, str):
-                raise ValueError(f"vertex names must be strings, got {v!r}")
         edges = []
         for e in raw_edges:
             if not (
@@ -203,18 +202,19 @@ class WeightedOrientedGraph:
                 raise ValueError(f"edge {e!r} must be a [tail, head] pair of names")
             edges.append((e[0], e[1]))
         weights = data.get("weights", {})
-        if not isinstance(weights, Mapping):
-            raise ValueError(f"weights must map vertex names to integers, got {weights!r}")
-        for v, w in weights.items():
-            if not isinstance(w, int) or isinstance(w, bool):
-                raise ValueError(f"weight of {v!r} must be an integer, got {w!r}")
-        missing = [v for v in vertices if v not in weights]
+        if weights is None:  # the constructor would read null as no weights
+            raise ValueError("weights must map vertex names to integers, got None")
+        try:
+            g = cls(vertices, edges, weights)
+        except TypeError as exc:
+            raise ValueError(str(exc)) from None
+        missing = [v for v in g.vertices if v not in weights]
         if missing:
             warnings.warn(
                 f"no weight given for {', '.join(missing)}; defaulting to 1",
                 stacklevel=2,
             )
-        return cls(vertices, edges, weights)
+        return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedOrientedGraph):
@@ -270,6 +270,26 @@ def oriented_cycle(
     return WeightedOrientedGraph(vs, edges, dict(zip(vs, weights)))
 
 
+def _check_tree(tree: WeightedOrientedGraph, root: str) -> None:
+    """Raise ValueError unless tree is a tree oriented away from root.
+
+    Every vertex must be reached from root along edges, and there must be
+    |V| - 1 edges: the edges of a walk reaching every vertex from root are
+    then all of them, so every other vertex has exactly one parent.
+    """
+    tree._check_vertex(root)
+    reached, stack = {root}, [root]
+    while stack:
+        for v in tree._out[stack.pop()] - reached:
+            reached.add(v)
+            stack.append(v)
+    for v in tree.vertices:
+        if v not in reached:
+            raise ValueError(f"{v!r} is not reached from the root {root!r}")
+    if len(tree.edges) != len(tree.vertices) - 1:
+        raise ValueError("tree must have exactly |V|-1 edges")
+
+
 def rooted_tree(
     parent: Mapping[str, str], root: str, weights: Mapping[str, int]
 ) -> WeightedOrientedGraph:
@@ -281,27 +301,10 @@ def rooted_tree(
     parent = dict(parent)
     if root in parent:
         raise ValueError(f"root {root!r} must not have a parent")
-    vertices = [root] + list(parent)
-    vertex_set = set(vertices)
-    if len(vertex_set) != len(vertices):
-        raise ValueError("duplicate vertex in tree")
-    for child, par in parent.items():
-        if par not in vertex_set:
-            raise ValueError(
-                f"parent {par!r} of {child!r} is not a tree vertex; "
-                "trees must have a single root"
-            )
-    # walk each chain up to the root to rule out cycles
-    for child in parent:
-        seen = {child}
-        v = child
-        while v != root:
-            v = parent[v]
-            if v in seen:
-                raise ValueError(f"cycle in parent map through {v!r}")
-            seen.add(v)
     edges = [(par, child) for child, par in parent.items()]
-    return WeightedOrientedGraph(vertices, edges, weights)
+    tree = WeightedOrientedGraph([root, *parent], edges, weights)
+    _check_tree(tree, root)
+    return tree
 
 
 def forest_broom(
@@ -320,16 +323,7 @@ def forest_broom(
     weight 1).  x is a source, so its weight never enters the edge ideal;
     it is stored as 2.
     """
-    tree._check_vertex(root)
-    if tree.in_neighbors(root):
-        raise ValueError(f"{root!r} is not the root: it has an in-edge")
-    for v in tree.vertices:
-        if v == root:
-            continue
-        if len(tree.in_neighbors(v)) != 1:
-            raise ValueError(f"{v!r} must have exactly one parent in the tree")
-    if len(tree.edges) != len(tree.vertices) - 1:
-        raise ValueError("tree must have exactly |V|-1 edges")
+    _check_tree(tree, root)
     for fresh in (x_name, y_name):
         if fresh in tree._position:
             raise ValueError(f"handle vertex {fresh!r} collides with a tree vertex")

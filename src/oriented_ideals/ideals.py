@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .covers import _vertex_set, cover_partition, enumerate_strong_covers, is_vertex_cover
+from .covers import _vertex_set, cover_partition, enumerate_strong_covers
 from .graphs import WeightedOrientedGraph
 from .monomials import Monomial, MonomialIdeal, intersect_all
 
@@ -47,8 +47,8 @@ def irreducible_component(
 ) -> IrreducibleComponent:
     """The irreducible ideal attached to a strong cover."""
     cover = _vertex_set(cover)
-    parts = cover_partition(g, cover) if is_vertex_cover(g, cover) else None
-    if parts is None or not parts.is_strong(g):
+    parts = cover_partition(g, cover)  # ValueError for a set that is no cover
+    if not parts.is_strong(g):
         raise ValueError(f"{sorted(cover)} is not a strong vertex cover")
     l1 = parts.l1
     weights, position = g._weights, g._position

@@ -23,9 +23,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
-from .covers import (
-    _maximal_covers, _vertex_set, enumerate_strong_covers, is_strong_cover, maximal_strong_covers
-)
+from .covers import _maximal_covers, _vertex_set, is_strong_cover, maximal_strong_covers
 from .graphs import WeightedOrientedGraph
 from .ideals import edge_ideal, irreducible_decomposition
 from .monomials import Monomial, MonomialIdeal, intersect_all
@@ -63,9 +61,10 @@ def _localized_powers(
 ) -> Iterator[list[MonomialIdeal]]:
     """Route one's pieces for s = 1, 2, ...: Q_{⊆P}^s for each maximal P.
 
-    The primes are the maximal ones among the strong covers, given sorted
-    by size then position; each step multiplies every running power by its
-    Q_{⊆P} once, and only when the next exponent is asked for.
+    The primes are the maximal ones among the strong covers given, all of
+    them or only the maximal ones, sorted by size then position; each step
+    multiplies every running power by its Q_{⊆P} once, and only when the
+    next exponent is asked for.
     """
     primes = _maximal_covers(g, covers)
     base = [q_sub_p(g, p) for p in primes]
@@ -121,7 +120,7 @@ def symbolic_power(g: WeightedOrientedGraph, s: int) -> MonomialIdeal:
     ideal = edge_ideal(g)
     if ideal.is_zero:
         return ideal
-    powers = _localized_powers(g, enumerate_strong_covers(g))
+    powers = _localized_powers(g, maximal_strong_covers(g))
     return intersect_all(next(islice(powers, s - 1, None)), ambient=g.vertices)
 
 

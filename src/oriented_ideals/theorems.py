@@ -314,18 +314,28 @@ def check_line_cubic_witness(weights: Sequence[int], i: int) -> CheckResult:
     )
 
 
+def line_drop(weights: Sequence[int]) -> int | None:
+    """The first interior i (1 < i < n-1) with w(x_i) >= 2 and w(x_(i+1)) = 1.
+
+    Such a drop is where the cubic witness lives; None means there is none.
+    A weight below 1 is no weighting, so it raises ValueError.
+    """
+    for w in weights:
+        _require_positive("weight", w)
+    return next(
+        (i for i in range(2, len(weights) - 1) if weights[i - 1] >= 2 and weights[i] == 1),
+        None,
+    )
+
+
 def line_equality_condition(weights: Sequence[int]) -> bool:
     """True iff the interior weights that are >= 2 form a suffix of the interior.
 
     Equivalently: whenever w(x_j) >= 2 for some 1 < j < n, every x_i with
-    j <= i <= n-1 also has weight >= 2.  The endpoint weights are free.
+    j <= i <= n-1 also has weight >= 2, so there is no interior drop.  The
+    endpoint weights are free.
     """
-    weights = tuple(weights)
-    n = len(weights)
-    for j in range(2, n):  # interior positions, 1-based
-        if weights[j - 1] >= 2:
-            return all(weights[i - 1] >= 2 for i in range(j, n))
-    return True
+    return line_drop(weights) is None
 
 
 def check_line_characterization(weights: Sequence[int]) -> CheckResult:

@@ -264,6 +264,19 @@ def test_verify_line_family(graph_file, capsys):
     assert "line_cubic_witness" in out
 
 
+def test_verify_line_family_adds_cover_families_on_a_single_break(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--family", "line", "--weights", "1,1,1,1,2,2,1", "--json"
+    )
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    # the weight drop at x6 -> x7 reaches the endpoint, so no cubic witness
+    assert [(r["check"], r["status"]) for r in checks] == [
+        ("line_characterization", "pass"),
+        ("line_cover_families", "pass"),
+    ]
+
+
 def test_verify_line_family_needs_weights(capsys):
     code, _, err = run(capsys, "verify", "--family", "line")
     assert code == 2

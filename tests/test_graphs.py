@@ -72,6 +72,39 @@ def test_validation():
         WeightedOrientedGraph(("a",), [], {"b": 1})
 
 
+def test_vertex_names_are_typed_before_they_are_compared():
+    # a list is no name, and set() of two of them would fail as unhashable
+    with pytest.raises(TypeError, match="vertex names must be strings"):
+        WeightedOrientedGraph([["a"], ["a"]], [])
+
+
+@pytest.mark.parametrize("w", [2.0, True, "2", None])
+def test_weight_must_be_an_int(w):
+    with pytest.raises(TypeError, match="weight of 'b' must be an int"):
+        WeightedOrientedGraph(("a", "b"), [("a", "b")], {"b": w})
+
+
+def test_equal_graphs_hash_equal():
+    g = WeightedOrientedGraph(("a", "b"), [("a", "b")], {"a": 1, "b": 3})
+    h = WeightedOrientedGraph(["a", "b"], (("a", "b"),), {"b": 3})
+    assert g == h and hash(g) == hash(h)
+    assert len({g, h, oriented_line(2, (1, 3), names=("a", "b"))}) == 1
+    assert g != WeightedOrientedGraph(("a", "b"), [("a", "b")], {"a": 2, "b": 3})
+
+
+def test_line_and_cycle_argument_errors():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        oriented_line(0, ())
+    with pytest.raises(ValueError, match="expected 3 weights, got 2"):
+        oriented_line(3, (1, 2))
+    with pytest.raises(ValueError, match="at least three vertices"):
+        oriented_cycle(2, (2, 2))
+    with pytest.raises(ValueError, match="expected 4 weights, got 3"):
+        oriented_cycle(4, (2, 2, 2))
+    with pytest.raises(ValueError, match="expected 3 vertex names, got 2"):
+        oriented_cycle(3, (2, 2, 2), names=("a", "b"))
+
+
 def test_vertices_given_as_one_string_rejected():
     # iterating "ab" would declare the vertices "a" and "b"
     with pytest.raises(TypeError):
@@ -134,6 +167,24 @@ def test_rooted_tree_validation():
         rooted_tree({"b": "a", "c": "d"}, "a", {})
 
 
+def test_a_root_beside_a_cycle_is_no_tree():
+    # in-degrees and |E| = |V| - 1 hold, but the root reaches no other vertex
+    cycle = [("a", "b"), ("b", "c"), ("c", "a")]
+    tree = WeightedOrientedGraph(["z", "a", "b", "c"], cycle, dict.fromkeys("zabc", 2))
+    with pytest.raises(ValueError, match="'a' is not reached from the root 'z'"):
+        forest_broom(2, 2, tree, "z")
+    with pytest.raises(ValueError, match="'a' is not reached from the root 'z'"):
+        rooted_tree({"a": "c", "b": "a", "c": "b"}, "z", {})
+
+
+def test_forest_broom_rejects_extra_edges_and_unknown_roots():
+    tree = WeightedOrientedGraph(["z", "a", "b"], [("z", "a"), ("z", "b"), ("a", "b")])
+    with pytest.raises(ValueError, match=r"\|V\|-1 edges"):
+        forest_broom(2, 2, tree, "z")
+    with pytest.raises(ValueError, match="unknown vertex 'q'"):
+        forest_broom(2, 2, rooted_tree({}, "z", {"z": 2}), "q")
+
+
 def test_forest_broom_shape():
     tree = rooted_tree({"t1": "z", "t2": "z"}, "z", {"z": 2, "t1": 1, "t2": 1})
     broom = forest_broom(2, 2, tree, "z")
@@ -177,6 +228,15 @@ def test_json_round_trip():
         ("a", "b", "c"), [("a", "b"), ("c", "b")], {"a": 1, "b": 3, "c": 2}
     )
     assert WeightedOrientedGraph.from_json(g.to_json()) == g
+
+
+def test_json_names_and_weights_are_typed_by_the_constructor():
+    data = {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"b": 2.5}}
+    with pytest.raises(ValueError, match="weight of 'b' must be an int, got 2.5"):
+        WeightedOrientedGraph.from_json(data)
+    data = {"vertices": [["a"], ["a"]], "edges": [], "weights": {}}
+    with pytest.raises(ValueError, match="vertex names must be strings"):
+        WeightedOrientedGraph.from_json(data)
 
 
 def test_json_missing_weight_warns():

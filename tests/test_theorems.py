@@ -7,17 +7,22 @@ import itertools
 
 import pytest
 
+import oriented_ideals.cli as cli
 import oriented_ideals.theorems as theorems
 from oriented_ideals import (
     CheckResult,
     MonomialIdeal,
     RegressionSummary,
+    WeightedOrientedGraph,
     check_broom_equality,
     check_cycle_equality,
     check_full_cover_equality,
     check_line_characterization,
     check_line_cover_families,
     check_line_cubic_witness,
+    compare_powers,
+    forest_broom,
+    line_drop,
     line_equality_condition,
     oriented_cycle,
     oriented_line,
@@ -118,6 +123,41 @@ def test_broom_check_skips_on_bad_weights():
     assert check_broom_equality(path, "z", 2, 2).status == "skip"
 
 
+def test_broom_check_skips_a_tree_beside_a_cycle():
+    # the root plus a separate 3-cycle: every non-root vertex has one
+    # in-edge and |E| = |V| - 1, but it is no tree
+    cycle = [("a", "b"), ("b", "c"), ("c", "a")]
+    tree = WeightedOrientedGraph(["z", "a", "b", "c"], cycle, dict.fromkeys("zabc", 2))
+    r = check_broom_equality(tree, "z", 2, 2)
+    assert r.status == "skip"
+    assert "not reached from the root" in r.details["notice"]
+
+
+def test_powers_agree_to_s5_on_every_positive_case():
+    # the paper claims equality for every s on brooms and on lines without
+    # an interior drop; the negative cases keep their s = 3 witness
+    brooms = []
+    for w_y, w_z in itertools.product((1, 2, 3), repeat=2):
+        for tree, _ in cli._standard_brooms(w_y, w_z):
+            try:
+                brooms.append(forest_broom(w_y, w_z, tree, "z"))
+            except ValueError:
+                continue  # outside the broom family's weight hypotheses
+    lines = [
+        oriented_line(n, wv)
+        for n in (5, 6)
+        for wv in itertools.product((1, 2), repeat=n)
+        if line_equality_condition(wv)
+    ]
+    assert (len(brooms), len(lines)) == (14, 16 + 20)
+    unequal = [
+        (g.to_json(), r.first_inequality)
+        for g in brooms + lines
+        if not (r := compare_powers(g, 5)).all_equal
+    ]
+    assert not unequal, unequal
+
+
 def test_cubic_witness_line5():
     r = check_line_cubic_witness((1, 2, 1, 1, 1), 2)
     assert r.status == "pass"
@@ -129,6 +169,26 @@ def test_cubic_witness_skips():
     assert check_line_cubic_witness((1, 2, 1, 1, 1), 4).status == "skip"
     assert check_line_cubic_witness((1, 1, 1, 1, 1), 2).status == "skip"
     assert check_line_cubic_witness((1, 2, 2, 1, 1), 2).status == "skip"
+
+
+def test_line_drop_cases():
+    assert line_drop((1, 2, 1, 1, 1)) == 2
+    assert line_drop((1, 1, 2, 1, 2, 2, 1)) == 3
+    assert line_drop((1, 2, 2, 1, 1)) == 3  # the first drop, not the first heavy
+    assert line_drop((1, 2, 1, 2, 1, 1)) == 2  # the first of two drops
+    assert line_drop((1, 3, 1, 1)) == 2
+    assert line_drop((1, 2, 2, 1)) is None  # x4 is an endpoint
+    assert line_drop((2, 1, 1, 1)) is None  # x1 is an endpoint
+    assert line_drop((1, 1, 1, 1, 1)) is None
+    assert line_drop((1, 2, 2, 2, 5)) is None
+    assert line_drop((1, 2, 3)) is None
+    assert line_drop(()) is None
+    # (1, 2, 0, 1) has no drop to weight 1, yet its weights >= 2 are no suffix
+    for bad in ((1, 2, 0, 1), (1, True, 1, 1), (1, 2.0, 1, 1)):
+        with pytest.raises(ValueError, match="weight must be an integer >= 1"):
+            line_drop(bad)
+        with pytest.raises(ValueError, match="weight must be an integer >= 1"):
+            line_equality_condition(bad)
 
 
 def test_line_equality_condition_cases():
