@@ -61,10 +61,9 @@ def _localized_powers(
 ) -> Iterator[list[MonomialIdeal]]:
     """Route one's pieces for s = 1, 2, ...: Q_{⊆P}^s for each maximal P.
 
-    The primes are the maximal ones among the strong covers given, all of
-    them or only the maximal ones, sorted by size then position; each step
-    multiplies every running power by its Q_{⊆P} once, and only when the
-    next exponent is asked for.
+    The primes are the maximal ones among the strong covers given, sorted
+    by size then position; each step multiplies every running power by its
+    Q_{⊆P} once, and only when the next exponent is asked for.
     """
     primes = _maximal_covers(g, covers)
     base = [q_sub_p(g, p) for p in primes]
