@@ -16,6 +16,8 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable, Mapping, Sequence
 
+from .monomials import _check_name
+
 
 class WeightedOrientedGraph:
 
@@ -33,8 +35,7 @@ class WeightedOrientedGraph:
             raise TypeError(f"vertices must be a sequence of names, not {vertices!r}")
         vertices = tuple(vertices)
         for v in vertices:
-            if not isinstance(v, str):
-                raise TypeError(f"vertex names must be strings, got {v!r}")
+            _check_name(v, "vertex")
         if len(set(vertices)) != len(vertices):
             raise ValueError("vertex names must be distinct")
         position = {v: i for i, v in enumerate(vertices)}

@@ -67,6 +67,18 @@ from itertools import chain
 from operator import lshift
 
 
+def _check_name(name: str, kind: str) -> None:
+    """Reject a name that a monomial string would not read back as itself.
+
+    A name is a string that is not empty, has no outer whitespace, holds no
+    "*" or "^", and is not "1", the identity monomial's string.
+    """
+    if not isinstance(name, str):
+        raise TypeError(f"{kind} names must be strings, got {name!r}")
+    if not name or name.strip() != name or "*" in name or "^" in name or name == "1":
+        raise ValueError(f"{kind} name {name!r} is empty, padded, '1', or holds '*' or '^'")
+
+
 class Monomial:
     """An exponent vector with named variables, e.g. x1*x3^2.
 
@@ -79,8 +91,7 @@ class Monomial:
     def __init__(self, exponents: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         exps = dict(exponents)
         for var, exp in exps.items():
-            if not isinstance(var, str):
-                raise TypeError(f"variable names must be strings, got {var!r}")
+            _check_name(var, "variable")
             if not isinstance(exp, int) or isinstance(exp, bool):
                 raise TypeError(f"exponent of {var} must be an int, got {exp!r}")
             if exp < 0:

@@ -23,7 +23,7 @@ The families covered:
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .covers import (
@@ -370,17 +370,28 @@ def check_line_characterization(weights: Sequence[int]) -> CheckResult:
 
 
 def _line_break_index(weights: Sequence[int]) -> int | None:
-    """The k with w(x_i)=1 for i<k and w(x_i)>=2 for k<=i<=n-1, if any."""
-    n = len(weights)
-    interior = [i for i in range(2, n) if weights[i - 1] >= 2]
-    if not interior:
+    """The k with w(x_i)=1 for i<k and w(x_i)>=2 for k<=i<=n-1, if any.
+
+    With w(x_1) = 1 and no interior drop, the interior weights are ones
+    followed by weights >= 2, so k is the first vertex past the ones.  A
+    weight below 1 raises ValueError, as in line_drop.
+    """
+    if line_drop(weights) is not None or weights[:1] != (1,):
         return None
-    k = interior[0]
-    if all(weights[i - 1] == 1 for i in range(1, k)) and all(
-        weights[i - 1] >= 2 for i in range(k, n)
-    ):
-        return k
-    return None
+    k = 2 + weights[1:-1].count(1)
+    return k if k < len(weights) else None
+
+
+# The three families of maximal strong covers of a line with a single break
+# at k, one row each, positions given as offsets from k: the family; which
+# of x_(k-1), x_k, x_(k+1) its covers hold; the cut that leaves the prefix
+# line x_1..x_(k-cut) it takes its minimal covers from; the tail's lone
+# variables; and the start of the tail line x_(k+start)..x_n.
+_LINE_FAMILIES = (
+    ("alpha", (True, False, True), 2, (-1,), 1),
+    ("beta", (False, True, True), 3, (-2,), 0),
+    ("gamma", (True, True, False), 4, (-3, -1, 0), 2),
+)
 
 
 def check_line_cover_families(weights: Sequence[int]) -> CheckResult:
@@ -389,7 +400,8 @@ def check_line_cover_families(weights: Sequence[int]) -> CheckResult:
     their pattern on {x_(k-1), x_k, x_(k+1)}, each family is a minimal cover
     of a prefix line joined to a fixed tail, and the intersection of the
     components under each maximal cover is the prefix cover's variables
-    plus an explicit tail ideal.
+    plus an explicit tail ideal: the lone variables, x_t^w(x_t) for the
+    first vertex x_t of the tail line, and the tail line's edges.
     """
     name = "line_cover_families"
     weights = tuple(weights)
@@ -403,94 +415,43 @@ def check_line_cover_families(weights: Sequence[int]) -> CheckResult:
 
     g = oriented_line(n, weights)
     vs = g.vertices  # vs[i-1] is x_i
-    w = {i: weights[i - 1] for i in range(1, n + 1)}
+    families = {}  # pattern -> family, prefix variables, tail ideal, predicted and found covers
+    for fam, pattern, cut, lone, start in _LINE_FAMILIES:
+        prefix, t = vs[: k - cut], k + start - 1  # the tail line is vs[t:]
+        lone_vars = {vs[k + i - 1] for i in lone}
+        tail = (
+            [Monomial({v: 1}) for v in lone_vars]
+            + [Monomial({v: w}) for v, w in zip(vs[t : t + 1], weights[t:])]
+            + [Monomial({u: 1, v: w}) for u, v, w in zip(vs[t:], vs[t + 1 :], weights[t + 1 :])]
+        )
+        fixed = lone_vars.union(vs[t:])
+        covers = {c | fixed for c in minimal_vertex_covers(g.induced_subgraph(prefix))}
+        families[pattern] = (fam, frozenset(prefix), tail, covers, set())
 
-    def var(i: int) -> str:
-        return vs[i - 1]
-
-    def prefix_line(m: int) -> WeightedOrientedGraph:
-        return g.induced_subgraph(vs[:m])
-
-    fixed = {
-        "alpha": frozenset({var(k - 1)} | {var(i) for i in range(k + 1, n + 1)}),
-        "beta": frozenset({var(k - 2)} | {var(i) for i in range(k, n + 1)}),
-        "gamma": frozenset(
-            {var(k - 3), var(k - 1), var(k)} | {var(i) for i in range(k + 2, n + 1)}
-        ),
-    }
-    prefix_len = {"alpha": k - 2, "beta": k - 3, "gamma": k - 4}
-    predicted_families = {
-        fam: {
-            mvc | fixed[fam]
-            for mvc in minimal_vertex_covers(prefix_line(prefix_len[fam]))
-        }
-        for fam in fixed
-    }
-
-    def tail_edges(start: int) -> list[Monomial]:
-        return [
-            Monomial({var(t): 1, var(t + 1): w[t + 1]}) for t in range(start, n)
-        ]
-
-    tails = {
-        "alpha": [Monomial({var(k - 1): 1}), Monomial({var(k + 1): w[k + 1]})]
-        + tail_edges(k + 1),
-        "beta": [Monomial({var(k - 2): 1}), Monomial({var(k): w[k]})]
-        + tail_edges(k),
-        "gamma": [
-            Monomial({var(k - 3): 1}),
-            Monomial({var(k - 1): 1}),
-            Monomial({var(k): 1}),
-        ]
-        + ([Monomial({var(k + 2): w[k + 2]})] if k + 2 <= n else [])
-        + tail_edges(k + 2),
-    }
-
-    def classify(c: frozenset[str]) -> str | None:
-        has = lambda i: var(i) in c
-        if not has(k):
-            return "alpha" if has(k - 1) and has(k + 1) else None
-        if has(k + 1) and not has(k - 1):
-            return "beta"
-        if has(k - 1) and not has(k + 1):
-            return "gamma"
-        return None
-
-    computed_families: dict[str, set[frozenset[str]]] = {
-        "alpha": set(), "beta": set(), "gamma": set()
-    }
-    unclassified = []
+    unclassified, ideal_mismatches = [], []
     maximal = maximal_strong_covers(g)
     for c in maximal:
-        fam = classify(c)
-        if fam is None:
+        row = families.get(tuple(v in c for v in vs[k - 2 : k + 1]))
+        if row is None:
             unclassified.append(c)
-        else:
-            computed_families[fam].add(c)
+            continue
+        fam, prefix_vars, tail, _, found = row
+        found.add(c)
+        predicted = MonomialIdeal(vs, [Monomial({v: 1}) for v in c & prefix_vars] + tail)
+        computed = q_sub_p(g, c)
+        if computed != predicted:
+            ideal_mismatches.append(
+                {
+                    "cover": sorted(c),
+                    "family": fam,
+                    "computed": computed.generator_strings(),
+                    "predicted": predicted.generator_strings(),
+                }
+            )
 
     families_ok = not unclassified and all(
-        computed_families[fam] == predicted_families[fam] for fam in fixed
+        covers == found for *_, covers, found in families.values()
     )
-
-    ideal_mismatches = []
-    for fam in fixed:
-        prefix_vars = set(vs[: prefix_len[fam]])
-        for c in computed_families[fam]:
-            predicted = MonomialIdeal(
-                vs,
-                [Monomial({v: 1}) for v in c & prefix_vars] + tails[fam],
-            )
-            computed = q_sub_p(g, c)
-            if computed != predicted:
-                ideal_mismatches.append(
-                    {
-                        "cover": sorted(c),
-                        "family": fam,
-                        "computed": computed.generator_strings(),
-                        "predicted": predicted.generator_strings(),
-                    }
-                )
-
     passed = families_ok and not ideal_mismatches
     return CheckResult(
         check=name,
@@ -509,8 +470,7 @@ def check_line_cover_families(weights: Sequence[int]) -> CheckResult:
             "k": k,
             "maximal_covers": [sorted(c) for c in maximal],
             "families": {
-                fam: sorted(sorted(c) for c in computed_families[fam])
-                for fam in fixed
+                fam: sorted(sorted(c) for c in found) for fam, *_, found in families.values()
             },
             "unclassified": [sorted(c) for c in unclassified],
             "ideal_mismatches": ideal_mismatches,

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import strategies as st
 
 from oriented_ideals import (
     CheckResult,
@@ -39,6 +40,18 @@ def sample_200():
     """The fixed 200-graph acceptance sample, shared across test modules."""
     rng = random.Random(SAMPLE_SEED)
     return [random_graph(rng, n_max=7, weight_max=3) for _ in range(200)]
+
+
+@st.composite
+def small_graphs(draw, n_max):
+    """A random graph on at most n_max vertices, from one drawn seed."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return random_graph(random.Random(seed), n_max=n_max)
+
+
+def gens(ideal):
+    """The generator strings of an ideal, as a set."""
+    return set(ideal.generator_strings())
 
 
 def brute_force_vertex_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:

@@ -59,6 +59,17 @@ def test_covers_json_partition(graph_file, capsys):
     assert payload[0] == {"cover": ["x2"], "L1": ["x2"], "L2": [], "L3": []}
 
 
+def test_covers_text_partition(graph_file, capsys):
+    code, out, _ = run(capsys, "covers", graph_file(LINE3), "--partition")
+    assert code == 0
+    assert out.splitlines() == [
+        "strong covers (3):",
+        "  {x2}  L1={x2} L2={} L3={}",
+        "  {x1, x3}  L1={x1} L2={x3} L3={}",
+        "  {x2, x3}  L1={} L2={x2} L3={x3}",
+    ]
+
+
 def test_covers_minimal_and_maximal(graph_file, capsys):
     code, out, _ = run(capsys, "covers", graph_file(LINE5), "--minimal", "--json")
     assert code == 0
@@ -114,6 +125,12 @@ def test_power_ordinary(graph_file, capsys):
     assert payload["ordinary"] == [
         "x1^2*x2^4", "x1*x2^3*x3^2", "x2^2*x3^4"
     ]
+
+
+def test_power_ordinary_text(graph_file, capsys):
+    code, out, _ = run(capsys, "power", graph_file(LINE3), "--ordinary", "--s", "2")
+    assert code == 0
+    assert out == "I^2 = [x1^2*x2^4, x1*x2^3*x3^2, x2^2*x3^4]\n"
 
 
 def test_power_symbolic_with_oracle(graph_file, capsys):
@@ -248,6 +265,19 @@ def test_badly_typed_graph_is_input_error(graph_file, capsys, command, bad):
     assert "Traceback" not in err
 
 
+# names that a monomial string would read back as something else
+@pytest.mark.parametrize("name", ["", "1", "a*b", "a^2", " a", "a "])
+@pytest.mark.parametrize(
+    "command", [["covers"], ["decompose"], ["power", "--symbolic", "--s", "2"]]
+)
+def test_unreadable_vertex_name_is_input_error(graph_file, capsys, command, name):
+    data = {"vertices": [name, "c"], "edges": [[name, "c"]], "weights": {name: 1, "c": 1}}
+    code, out, err = run(capsys, command[0], graph_file(data), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: vertex name {name!r} is empty, padded, '1', or holds '*' or '^'\n"
+
+
 def test_verify_needs_a_mode(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
@@ -281,6 +311,22 @@ def test_verify_line_family_needs_weights(capsys):
     code, _, err = run(capsys, "verify", "--family", "line")
     assert code == 2
     assert "--weights" in err
+
+
+def test_verify_line_weights_must_be_integers(capsys):
+    code, out, err = run(capsys, "verify", "--family", "line", "--weights", "1,x")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --weights wants comma-separated integers, got '1,x'\n"
+
+
+def test_verify_cycle_skip_notice(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "cycle", "--weights", "1,2")
+    assert code == 0
+    assert out.splitlines() == [
+        "SKIP  cycle_equality: cycle weights=(1, 2)",
+        "      a cycle needs at least three vertices",
+    ]
 
 
 def test_verify_all_families(capsys):

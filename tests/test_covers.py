@@ -34,6 +34,7 @@ from conftest import (
     reference_cover_partition,
     reference_is_strong_cover,
     reference_is_vertex_cover,
+    small_graphs,
 )
 
 
@@ -206,13 +207,7 @@ def test_enumeration_matches_brute_force_random():
         assert got == expected, g.to_json()
 
 
-@st.composite
-def small_graphs(draw, n_max=6, weight_max=3):
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return random_graph(random.Random(seed), n_max=n_max, weight_max=weight_max)
-
-
-@given(small_graphs())
+@given(small_graphs(6))
 @settings(max_examples=60, deadline=None)
 def test_minimal_covers_are_strong(g):
     for cover in minimal_vertex_covers(g):
@@ -223,7 +218,7 @@ def test_minimal_covers_are_strong(g):
         assert is_strong_cover(g, cover)
 
 
-@given(small_graphs(weight_max=3))
+@given(small_graphs(6))
 @settings(max_examples=60, deadline=None)
 def test_full_vertex_set_strong_iff_no_sources_when_heavy(g):
     heavy = all(g.weight(v) >= 2 for v in g.vertices)
@@ -233,7 +228,7 @@ def test_full_vertex_set_strong_iff_no_sources_when_heavy(g):
     assert is_strong_cover(g, set(g.vertices)) == (not g.sources())
 
 
-@given(small_graphs())
+@given(small_graphs(6))
 @settings(max_examples=40, deadline=None)
 def test_enumeration_is_sorted_and_deduplicated(g):
     covers = enumerate_strong_covers(g)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from types import MappingProxyType
 
 import pytest
@@ -76,6 +77,17 @@ def test_vertex_names_are_typed_before_they_are_compared():
     # a list is no name, and set() of two of them would fail as unhashable
     with pytest.raises(TypeError, match="vertex names must be strings"):
         WeightedOrientedGraph([["a"], ["a"]], [])
+
+
+@pytest.mark.parametrize("name", ["", "1", "a*b", "a^2", " a", "a "])
+def test_unreadable_vertex_names_rejected(name):
+    # "1" would print as the unit ideal, "a^2" squared as "a^2^2"
+    message = re.escape(f"vertex name {name!r} is empty, padded, '1', or holds '*' or '^'")
+    with pytest.raises(ValueError, match=message):
+        WeightedOrientedGraph([name, "c"], [(name, "c")])
+    data = {"vertices": [name, "c"], "edges": [[name, "c"]], "weights": {name: 2, "c": 1}}
+    with pytest.raises(ValueError, match=message):
+        WeightedOrientedGraph.from_json(data)
 
 
 @pytest.mark.parametrize("w", [2.0, True, "2", None])

@@ -7,7 +7,6 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oriented_ideals import (
     MonomialIdeal,
@@ -22,14 +21,10 @@ from oriented_ideals import (
     random_graph,
 )
 
-from conftest import assert_irredundant, reference_component_ideal
+from conftest import assert_irredundant, gens, reference_component_ideal, small_graphs
 
 
 LINE3 = oriented_line(3, (1, 2, 2))
-
-
-def gens(ideal):
-    return set(ideal.generator_strings())
 
 
 def test_edge_ideal_generators():
@@ -104,13 +99,7 @@ def test_component_json_shape():
     assert data["L2"] == ["x3"]
 
 
-@st.composite
-def small_graphs(draw, n_max=6):
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return random_graph(random.Random(seed), n_max=n_max)
-
-
-@given(small_graphs())
+@given(small_graphs(6))
 @settings(max_examples=50, deadline=None)
 def test_edge_ideal_contained_in_every_component(g):
     ideal = edge_ideal(g)
@@ -118,7 +107,7 @@ def test_edge_ideal_contained_in_every_component(g):
         assert ideal <= comp.ideal
 
 
-@given(small_graphs())
+@given(small_graphs(6))
 @settings(max_examples=50, deadline=None)
 def test_decomposition_is_irredundant(g):
     comps = irreducible_decomposition(g)
@@ -144,7 +133,7 @@ def test_irredundancy_check_catches_a_redundant_component():
         assert_irredundant(comps + [irreducible_component(LINE3, {"x2", "x3"})])
 
 
-@given(small_graphs(n_max=5))
+@given(small_graphs(5))
 @settings(max_examples=40, deadline=None)
 def test_decomposition_identity_random(g):
     comps = irreducible_decomposition(g)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import chain
 
 import pytest
@@ -55,6 +56,21 @@ def test_monomial_validation():
         Monomial({"x1": 1.5})
     with pytest.raises(TypeError):
         Monomial({3: 1})
+
+
+@pytest.mark.parametrize("name", ["", "1", "a*b", "a^2", " a", "a\t"])
+def test_unreadable_variable_names_rejected(name):
+    # each would format to a string that parses as another monomial, or none
+    with pytest.raises(ValueError, match=re.escape(f"variable name {name!r} is empty")):
+        Monomial({name: 2})
+    with pytest.raises(TypeError, match="variable names must be strings, got 3"):
+        Monomial({3: 1})
+
+
+@pytest.mark.parametrize("name", ["a b", "2", "x_1", "x'", "é"])
+def test_readable_variable_names_round_trip(name):
+    for mono in (Monomial({name: 1}), Monomial({name: 3, "y": 1})):
+        assert Monomial.from_str(mono.format()) == mono
 
 
 def test_parse_round_trip():

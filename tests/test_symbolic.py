@@ -32,24 +32,16 @@ from conftest import (
     all_rows_up_to,
     brute_force_member,
     component_q_sub_p,
+    gens,
     maximal_covers,
     reference_power_comparison,
     reference_product,
+    small_graphs,
 )
 
 
 LINE5 = oriented_line(5, (1, 2, 1, 1, 1))
 MEMBERSHIP_DEGREE = 5
-
-
-def gens(ideal):
-    return set(ideal.generator_strings())
-
-
-@st.composite
-def small_graphs(draw, n_max=5):
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return random_graph(random.Random(seed), n_max=n_max)
 
 
 def test_q_sub_p_line2():
@@ -77,7 +69,7 @@ def assert_q_sub_p_matches_components(g):
         assert q_sub_p(g, c.cover) == component_q_sub_p(comps, c.cover), sorted(c.cover)
 
 
-@given(small_graphs())
+@given(small_graphs(5))
 @settings(max_examples=50, deadline=None)
 def test_q_sub_p_matches_component_intersection(g):
     assert_q_sub_p_matches_components(g)
@@ -156,7 +148,7 @@ def test_report_json_shape():
     assert data["graph"]["vertices"] == list(LINE5.vertices)
 
 
-@given(small_graphs(), st.integers(min_value=1, max_value=3))
+@given(small_graphs(5), st.integers(min_value=1, max_value=3))
 @settings(max_examples=30, deadline=None)
 def test_symbolic_matches_saturation_oracle(g, s):
     assert symbolic_power(g, s) == symbolic_power_oracle(g, s)
@@ -175,7 +167,7 @@ def test_symbolic_power_builds_no_component_ideal(monkeypatch):
     assert [symbolic_power(g, 2) for g in graphs] == expected
 
 
-@given(small_graphs(), st.integers(min_value=1, max_value=3))
+@given(small_graphs(5), st.integers(min_value=1, max_value=3))
 @settings(max_examples=30, deadline=None)
 def test_maximal_prime_restriction_is_lossless(g, s):
     comps = irreducible_decomposition(g)
@@ -185,7 +177,7 @@ def test_maximal_prime_restriction_is_lossless(g, s):
     assert symbolic_power(g, s) == intersect_all(every_prime)
 
 
-@given(small_graphs(), st.integers(min_value=1, max_value=2))
+@given(small_graphs(5), st.integers(min_value=1, max_value=2))
 @example(oriented_cycle(3, (1, 1, 1)), 2)  # x1*x2*x3 is in I^(2), not in I^2
 @example(oriented_cycle(3, (1, 2, 1)), 2)  # likewise x1*x2^2*x3
 @settings(max_examples=15, deadline=None)
@@ -208,7 +200,7 @@ def test_symbolic_membership_matches_brute_force(g, s):
         assert symbolic.contains(m) == expected, m
 
 
-@given(small_graphs())
+@given(small_graphs(5))
 @settings(max_examples=30, deadline=None)
 def test_containment_chain(g):
     ideal = edge_ideal(g)

@@ -4,6 +4,7 @@ instances where it skips, and a randomized regression sweep."""
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -83,6 +84,13 @@ def test_full_cover_check_skips():
     assert check_full_cover_equality(oriented_line(3, (1, 2, 2))).status == "skip"
 
 
+def test_full_cover_check_skips_isolated_vertices():
+    g = WeightedOrientedGraph(["a", "b", "c"], [("a", "b")], dict.fromkeys("abc", 2))
+    r = check_full_cover_equality(g)
+    assert r.status == "skip"
+    assert r.details == {"notice": "isolated vertices are outside the statement"}
+
+
 def test_cycle_check():
     assert check_cycle_equality((2, 2, 2)).status == "pass"
     assert check_cycle_equality((3, 2, 2, 2)).status == "pass"
@@ -115,6 +123,21 @@ def test_broom_family_ideals_frozen():
     r = check_broom_equality(path, "z", 2, 2)
     assert list(r.details["family_1_ideal"]) == ["x", "z^2", "z*t1^2", "t1*t2^2"]
     assert list(r.details["family_2_ideal"]) == ["y^2", "y*z^2", "z*t1^2", "t1*t2^2"]
+
+
+def test_broom_check_fails_on_a_stray_cover(monkeypatch):
+    # a component on the whole vertex set holds both x and y, so it is in
+    # neither family
+    real = theorems.irreducible_decomposition
+    monkeypatch.setattr(
+        theorems,
+        "irreducible_decomposition",
+        lambda g: real(g) + [SimpleNamespace(cover=frozenset(g.vertices), ideal=None)],
+    )
+    r = check_broom_equality(rooted_tree({}, "z", {"z": 2}), "z", 2, 2)
+    assert r.status == "fail"
+    assert r.details["stray_covers"] == [["x", "y", "z"]]
+    assert "stray_covers=1" in r.computed
 
 
 def test_broom_check_skips_on_bad_weights():
@@ -203,6 +226,13 @@ def test_line_equality_condition_cases():
     assert line_equality_condition((4, 7))  # no interior at all
 
 
+@pytest.mark.parametrize("weights", [(), (1,), (3,)])
+def test_line_characterization_skips_fewer_than_two_vertices(weights):
+    r = check_line_characterization(weights)
+    assert r.status == "skip"
+    assert r.details == {"notice": "a line needs at least two vertices"}
+
+
 @pytest.mark.parametrize(
     "weights", list(itertools.product((1, 2), repeat=4))
 )
@@ -235,6 +265,15 @@ def test_line_cover_families_skips():
     assert check_line_cover_families((1, 1, 1, 1, 1, 1, 1)).status == "skip"
 
 
+@pytest.mark.parametrize(
+    "bad", [(1, 0, 2, 2, 2, 1), (1, 1, 1, 1, 2, -2, 1), (1, 1, True, 1, 2, 2, 1)]
+)
+def test_line_cover_families_rejects_weights_below_one(bad):
+    # a weight below 1 is no weighting, not a line outside the statement
+    with pytest.raises(ValueError, match="weight must be an integer >= 1"):
+        check_line_cover_families(bad)
+
+
 def test_line_cover_families_more_instances():
     for weights in [
         (1, 1, 1, 1, 2, 2, 2, 1),
@@ -243,6 +282,65 @@ def test_line_cover_families_more_instances():
     ]:
         r = check_line_cover_families(weights)
         assert r.status == "pass", (weights, r.computed)
+
+
+def single_break(weights):
+    """The k of 4 < k < n with ones before x_k and weights >= 2 from x_k to x_(n-1)."""
+    n = len(weights)
+    for k in range(5, n):
+        if set(weights[: k - 1]) == {1} and min(weights[k - 1 : n - 1]) >= 2:
+            return k
+    return None
+
+
+def test_line_cover_families_every_single_break_line():
+    # every weighting in {1,2,3}^n, n = 6..9: the single-break lines pass
+    # at their break, and every other weighting skips
+    passed = 0
+    for n in range(6, 10):
+        for weights in itertools.product((1, 2, 3), repeat=n):
+            r = check_line_cover_families(weights)
+            k = single_break(weights)
+            if k is None:
+                assert r.status == "skip", weights
+            else:
+                assert (r.status, r.details["k"]) == ("pass", k), (weights, r.computed)
+                passed += 1
+    assert passed == 156
+
+
+def test_line_cover_families_fails_on_an_unclassified_cover(monkeypatch):
+    # the whole vertex set holds x4, x5 and x6, a pattern of no family
+    real = theorems.maximal_strong_covers
+    monkeypatch.setattr(
+        theorems, "maximal_strong_covers", lambda g: real(g) + [frozenset(g.vertices)]
+    )
+    r = check_line_cover_families((1, 1, 1, 1, 2, 2, 1))
+    assert r.status == "fail"
+    assert r.computed == "families=mismatch, ideal_mismatches=0"
+    assert r.details["unclassified"] == [["x1", "x2", "x3", "x4", "x5", "x6", "x7"]]
+    assert r.details["ideal_mismatches"] == []
+
+
+def test_line_cover_families_fails_on_an_ideal_mismatch(monkeypatch):
+    gamma = frozenset({"x2", "x4", "x5", "x7"})
+    real = theorems.q_sub_p
+    monkeypatch.setattr(
+        theorems,
+        "q_sub_p",
+        lambda g, c: MonomialIdeal.unit(g.vertices) if c == gamma else real(g, c),
+    )
+    r = check_line_cover_families((1, 1, 1, 1, 2, 2, 1))
+    assert r.status == "fail"
+    assert r.computed == "families=ok, ideal_mismatches=1"
+    assert r.details["ideal_mismatches"] == [
+        {
+            "cover": ["x2", "x4", "x5", "x7"],
+            "family": "gamma",
+            "computed": ["1"],
+            "predicted": ["x2", "x4", "x5", "x7"],
+        }
+    ]
 
 
 def test_random_regression_passes():
