@@ -67,7 +67,7 @@ from itertools import chain
 from operator import lshift
 
 
-def _check_name(name: str, kind: str) -> None:
+def _check_name(name: object, kind: str) -> None:
     """Reject a name that a monomial string would not read back as itself.
 
     A name is a string that is not empty, has no outer whitespace, holds no
