@@ -10,14 +10,17 @@ contributes an irreducible ideal generated by pure variable powers:
 The intersection of these ideals over all strong covers recovers the edge
 ideal, one component per associated prime, and no component contains the
 intersection of the others (Pitones-Reyes-Toledo, 2019).
+
+A component holds its cover and the cover's partition, and builds its ideal
+on first read, packed from the partition's cover and L1 masks; a caller
+that reads only the covers, as compare_powers does, builds no ideal.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
-from .covers import _vertex_set, cover_partition, enumerate_strong_covers
+from .covers import CoverPartition, _vertex_set, cover_partition, enumerate_strong_covers
 from .graphs import WeightedOrientedGraph
 from .monomials import Monomial, MonomialIdeal, intersect_all
 
@@ -28,16 +31,61 @@ def edge_ideal(g: WeightedOrientedGraph) -> MonomialIdeal:
     return MonomialIdeal(g.vertices, [Monomial({t: 1, h: weights[h]}) for t, h in g.edges])
 
 
-@dataclass(frozen=True)
 class IrreducibleComponent:
-    """One irreducible piece of an edge ideal, indexed by a strong cover."""
+    """One irreducible piece of an edge ideal, indexed by a strong cover.
 
-    cover: frozenset[str]
-    ideal: MonomialIdeal
+    ``irreducible_component`` builds it, holding the cover and its
+    ``CoverPartition``.  The ideal is built on its first read, packed from
+    the partition's cover and L1 masks, so a caller that reads only
+    ``cover`` builds none.  It is immutable and compares, hashes and prints
+    by its cover and ideal.
+    """
+
+    __slots__ = ("_graph", "_cover", "_parts", "_ideal")
+
+    def __init__(
+        self, g: WeightedOrientedGraph, cover: frozenset[str], parts: CoverPartition
+    ):
+        self._graph = g
+        self._cover = cover
+        self._parts = parts
+        self._ideal: MonomialIdeal | None = None
+
+    @property
+    def cover(self) -> frozenset[str]:
+        return self._cover
+
+    @property
+    def ideal(self) -> MonomialIdeal:
+        """x on L1 and x^w(x) on L2 and L3, read off the masks on first use."""
+        ideal = self._ideal
+        if ideal is None:
+            g = self._graph
+            vertices, weights = g.vertices, g._weights
+            n = len(vertices)
+            cover, l1 = self._parts._masks[:2]
+            powers = {}
+            while cover:
+                low = cover & -cover
+                i = n - low.bit_length()
+                powers[i] = 1 if low & l1 else weights[vertices[i]]
+                cover ^= low
+            ideal = self._ideal = MonomialIdeal._pure_powers(vertices, powers)
+        return ideal
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IrreducibleComponent):
+            return NotImplemented
+        return (self._cover, self.ideal) == (other._cover, other.ideal)
+
+    def __hash__(self) -> int:
+        return hash((self._cover, self.ideal))
+
+    def __repr__(self) -> str:
+        return f"IrreducibleComponent(cover={self._cover!r}, ideal={self.ideal!r})"
 
     def to_json(self, g: WeightedOrientedGraph) -> dict:
-        parts = cover_partition(g, self.cover)
-        out = parts.to_json(g)
+        out = self._parts.to_json(g)
         out["ideal"] = self.ideal.generator_strings()
         return out
 
@@ -45,22 +93,16 @@ class IrreducibleComponent:
 def irreducible_component(
     g: WeightedOrientedGraph, cover: Iterable[str]
 ) -> IrreducibleComponent:
-    """The irreducible ideal attached to a strong cover."""
+    """The irreducible ideal attached to a strong cover.
+
+    A set that is not a strong cover raises ValueError here, not when the
+    ideal is first read.
+    """
     cover = _vertex_set(cover)
     parts = cover_partition(g, cover)  # ValueError for a set that is no cover
     if not parts.is_strong(g):
         raise ValueError(f"{sorted(cover)} is not a strong vertex cover")
-    l1 = parts.l1
-    weights, position = g._weights, g._position
-    zeros = [0] * len(position)
-    rows = []
-    for v in cover:
-        row = zeros.copy()
-        row[position[v]] = 1 if v in l1 else weights[v]
-        rows.append(tuple(row))
-    return IrreducibleComponent(
-        cover=cover, ideal=MonomialIdeal._from_rows(g.vertices, rows)
-    )
+    return IrreducibleComponent(g, cover, parts)
 
 
 def irreducible_decomposition(g: WeightedOrientedGraph) -> list[IrreducibleComponent]:

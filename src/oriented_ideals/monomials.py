@@ -307,6 +307,8 @@ class MonomialIdeal:
         if isinstance(ambient, str):
             raise TypeError(f"ambient must be a sequence of names, not {ambient!r}")
         ambient = tuple(ambient)
+        for v in ambient:
+            _check_name(v, "variable")
         if len(set(ambient)) != len(ambient):
             raise ValueError("ambient variables must be distinct")
         self._ambient = ambient
@@ -317,14 +319,18 @@ class MonomialIdeal:
         ])
 
     @classmethod
-    def _from_rows(
-        cls, ambient: tuple[str, ...], rows: list[tuple[int, ...]]
-    ) -> MonomialIdeal:
-        """The ideal generated by exponent rows over distinct ambient names."""
+    def _pure_powers(cls, ambient: tuple[str, ...], powers: dict[int, int]) -> MonomialIdeal:
+        """The ideal generated by x_i^e for each position i and exponent e in powers.
+
+        The ambient names are distinct and the exponents positive; each
+        generator is packed as its one field, with no exponent row.
+        """
+        layout = _Layout(len(ambient), max(powers.values(), default=0))
+        shifts = layout.shifts
         ideal = cls.__new__(cls)
         ideal._ambient = ambient
         ideal._position = {v: i for i, v in enumerate(ambient)}
-        ideal._generate(rows)
+        ideal._keep(layout, layout.minimal({e << shifts[i] for i, e in powers.items()}))
         return ideal
 
     @classmethod

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from oriented_ideals import (
+    IrreducibleComponent,
     MonomialIdeal,
     WeightedOrientedGraph,
     decomposition_intersection,
@@ -71,6 +72,51 @@ def test_component_rejects_non_strong_cover():
         irreducible_component(LINE3, {"x1"})
     with pytest.raises(ValueError):
         irreducible_component(LINE3, {"x1", "x2", "x3"})
+
+
+def test_component_checks_its_cover_before_any_ideal_is_built(monkeypatch):
+    def no_ideal(cls, ambient, powers):
+        raise AssertionError("a component ideal was built")
+
+    monkeypatch.setattr(MonomialIdeal, "_pure_powers", classmethod(no_ideal))
+    with pytest.raises(ValueError, match="not a vertex cover"):
+        irreducible_component(LINE3, {"x1"})
+    with pytest.raises(ValueError, match="not a strong vertex cover"):
+        irreducible_component(LINE3, {"x1", "x2", "x3"})
+    comp = irreducible_component(LINE3, {"x1", "x3"})
+    assert comp.cover == {"x1", "x3"}
+    with pytest.raises(AssertionError, match="was built"):
+        comp.ideal
+
+
+def test_component_compares_hashes_and_prints_by_cover_and_ideal():
+    comp = irreducible_component(LINE3, {"x1", "x3"})
+    again = irreducible_component(LINE3, ["x3", "x1"])
+    other = irreducible_component(LINE3, {"x2"})
+    ideal = MonomialIdeal(LINE3.vertices, ["x1", "x3^2"])
+    assert comp == again and hash(comp) == hash(again)
+    assert comp != other
+    assert comp != comp.cover and comp.__eq__(comp.cover) is NotImplemented
+    assert hash(comp) == hash((frozenset({"x1", "x3"}), ideal))
+    assert len({comp, again, other}) == 2
+    assert repr(comp) == (
+        f"IrreducibleComponent(cover={frozenset({'x1', 'x3'})!r}, ideal={ideal!r})"
+    )
+    # the same cover on a graph with another weight is another component
+    heavier = irreducible_component(oriented_line(3, (1, 2, 3)), {"x1", "x3"})
+    assert heavier.cover == comp.cover and heavier != comp
+
+
+def test_component_is_immutable():
+    comp = irreducible_component(LINE3, {"x2", "x3"})
+    ideal = comp.ideal
+    for attr, value in (("cover", frozenset({"x2"})), ("ideal", ideal), ("note", 1)):
+        with pytest.raises(AttributeError):
+            setattr(comp, attr, value)
+    with pytest.raises(AttributeError):
+        del comp.cover
+    assert isinstance(comp, IrreducibleComponent)
+    assert comp.cover == {"x2", "x3"} and comp.ideal is ideal
 
 
 def test_associated_primes():
@@ -153,6 +199,16 @@ def component_reference_graphs():
     yield from (random_graph(rng, n_max=7) for _ in range(60))
     yield from (oriented_cycle(n, (2,) * n) for n in range(3, 10))
     yield from (oriented_line(4, w) for w in product((1, 2, 3), repeat=4))
+
+
+@given(small_graphs(6))
+@settings(max_examples=60, deadline=None)
+def test_component_ideal_read_matches_monomial_construction(g):
+    for comp in irreducible_decomposition(g):
+        reference = reference_component_ideal(g, comp.cover)
+        assert comp.ideal == reference
+        assert comp.ideal._rows == reference._rows
+        assert comp.ideal.generator_strings() == reference.generator_strings()
 
 
 def test_components_from_rows_match_monomial_construction():

@@ -70,6 +70,30 @@ def test_non_string_variable_name_keeps_its_type_error():
         Monomial({3: 1})
 
 
+@pytest.mark.parametrize("name", ["", "1", "a*b", "a^2", " a", "a\t"])
+def test_unreadable_ambient_names_rejected(name):
+    # a generator on such a name would print as another monomial, or none
+    message = re.escape(f"variable name {name!r} is empty")
+    for build in (
+        lambda: MonomialIdeal((name, "b"), ["b"]),
+        lambda: MonomialIdeal.zero(("b", name)),
+        lambda: MonomialIdeal.unit((name,)),
+        lambda: MonomialIdeal(("b",), ["b"]).with_ambient(("b", name)),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def test_ambient_name_rule_on_mixed_ambients():
+    with pytest.raises(ValueError, match="'a\\^2'"):
+        MonomialIdeal(("a^2", "b", ""), ["b"])
+    with pytest.raises(ValueError, match="'1'"):
+        MonomialIdeal(("1", "b"), ["b"])
+    with pytest.raises(TypeError, match="variable names must be strings, got 3"):
+        MonomialIdeal(("b", 3), ["b"])
+    assert MonomialIdeal(("a b", "2", "x_1"), ["2*x_1^2"]).generator_strings() == ["2*x_1^2"]
+
+
 @pytest.mark.parametrize("name", ["a b", "2", "x_1", "x'", "é"])
 def test_readable_variable_names_round_trip(name):
     for mono in (Monomial({name: 1}), Monomial({name: 3, "y": 1})):

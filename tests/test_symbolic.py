@@ -167,6 +167,22 @@ def test_symbolic_power_builds_no_component_ideal(monkeypatch):
     assert [symbolic_power(g, 2) for g in graphs] == expected
 
 
+def test_compare_powers_builds_no_component_ideal(monkeypatch):
+    rng = random.Random(15)
+    graphs = [LINE5, oriented_cycle(5, (1, 2, 2, 1, 2))]
+    graphs += [random_graph(rng, n_max=6) for _ in range(10)]
+    expected = [compare_powers(g, 2).to_json() for g in graphs]
+
+    def no_ideal(cls, ambient, powers):
+        raise AssertionError("compare_powers built a component ideal")
+
+    monkeypatch.setattr(MonomialIdeal, "_pure_powers", classmethod(no_ideal))
+    assert [compare_powers(g, 2).to_json() for g in graphs] == expected
+    # the patch is on the route that builds component ideals
+    with pytest.raises(AssertionError, match="built a component ideal"):
+        irreducible_decomposition(LINE5)[0].ideal
+
+
 @given(small_graphs(5), st.integers(min_value=1, max_value=3))
 @settings(max_examples=30, deadline=None)
 def test_maximal_prime_restriction_is_lossless(g, s):
@@ -329,3 +345,12 @@ def test_unit_weights_first_differ_at_half_the_odd_girth():
     assert seen == 1094
     # bipartite graphs, triangles and a shortest odd cycle of five all occur
     assert outcomes == {None, 2, 3}
+
+
+@pytest.mark.parametrize("n, first", [(7, 4), (8, None)])
+def test_unit_weight_cycles_past_the_cube(n, first):
+    # C_(2k+1) first differs at s = k + 1 and an even cycle never does
+    # (Simis-Vasconcelos-Villarreal), so C_7 first differs at s = 4, past
+    # every graph on 2-5 vertices above
+    g = oriented_cycle(n, (1,) * n)
+    assert compare_powers(g, 4).first_inequality == first

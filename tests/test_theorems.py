@@ -241,6 +241,15 @@ def test_line_characterization_exhaustive_n4(weights):
     assert r.status == "pass", r.computed
 
 
+def test_line_characterization_exhaustive_n7():
+    # past the five-vertex acceptance grid: a drop can now sit at x2..x6
+    statuses = {}
+    for weights in itertools.product((1, 2), repeat=7):
+        statuses[weights] = check_line_characterization(weights).status
+    failed = [w for w, status in statuses.items() if status != "pass"]
+    assert len(statuses) == 128 and not failed, failed
+
+
 def test_line_cover_families_frozen_case():
     r = check_line_cover_families((1, 1, 1, 1, 2, 2, 1))
     assert r.status == "pass", r.computed
