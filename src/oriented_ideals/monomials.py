@@ -313,10 +313,12 @@ class MonomialIdeal:
             raise ValueError("ambient variables must be distinct")
         self._ambient = ambient
         self._position = {v: i for i, v in enumerate(ambient)}
-        self._generate([
+        rows = [
             self._row(Monomial.from_str(g) if isinstance(g, str) else g)
             for g in generators
-        ])
+        ]
+        layout = _Layout(len(ambient), max(chain.from_iterable(rows), default=0))
+        self._keep(layout, layout.minimal(set(layout.pack(rows))))
 
     @classmethod
     def _pure_powers(cls, ambient: tuple[str, ...], powers: dict[int, int]) -> MonomialIdeal:
@@ -340,11 +342,6 @@ class MonomialIdeal:
     @classmethod
     def unit(cls, ambient: Sequence[str]) -> MonomialIdeal:
         return cls(ambient, (Monomial(),))
-
-    def _generate(self, rows: list[tuple[int, ...]]) -> None:
-        """Take the minimal generators among exponent rows in ambient order."""
-        layout = _Layout(len(self._ambient), max(chain.from_iterable(rows), default=0))
-        self._keep(layout, layout.minimal(set(layout.pack(rows))))
 
     def _keep(self, layout: _Layout, kept: list[int]) -> None:
         """Take the rows that layout.minimal kept, packed by layout."""
