@@ -207,7 +207,7 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         raise ValueError(f"--weights wants comma-separated integers, got {text!r}") from None
 
 
-def _standard_brooms(w_y: int, w_z: int):
+def _standard_brooms(w_z: int):
     lone = rooted_tree({}, "z", {"z": w_z})
     star = rooted_tree({"t1": "z", "t2": "z"}, "z", {"z": w_z, "t1": 1, "t2": 1})
     path = rooted_tree({"t1": "z", "t2": "t1"}, "z", {"z": w_z, "t1": 2, "t2": 2})
@@ -243,7 +243,7 @@ def _verify_checks(args: argparse.Namespace) -> list:
             checks.append(check_cycle_equality((2, 2, 2), s_max))
             checks.append(check_cycle_equality((2, 2, 2, 2), s_max))
     if family in ("forest", "all"):
-        for tree, label in _standard_brooms(args.w_y, args.w_z):
+        for tree, label in _standard_brooms(args.w_z):
             result = check_broom_equality(tree, "z", args.w_y, args.w_z, s_max)
             result.instance += f" ({label})"
             checks.append(result)

@@ -294,11 +294,11 @@ class CoverPartition:
             "L3": list(g.sort_vertices(self.l3)),
         }
 
-    def is_strong(self, g: WeightedOrientedGraph) -> bool:
+    def is_strong(self) -> bool:
         """True iff every L3 vertex has an in-neighbor of weight >= 2 in L2 or L3.
 
-        The graph is the one the partition was built on; its masks are read
-        from the partition's table.
+        The weights and in-neighbors are those of the graph the partition
+        was built on, read from its mask table.
         """
         table = self._table
         cover, l1, _, l3 = self._masks
@@ -335,7 +335,7 @@ def is_strong_cover(g: WeightedOrientedGraph, cover: Iterable[str]) -> bool:
     in L2 or L3.  A set that is not a vertex cover returns False.
     """
     cover = _vertex_set(cover)
-    return is_vertex_cover(g, cover) and cover_partition(g, cover).is_strong(g)
+    return is_vertex_cover(g, cover) and cover_partition(g, cover).is_strong()
 
 
 def _sorted_covers(covers: Iterable[tuple[int, frozenset[str]]]) -> list[frozenset[str]]:

@@ -236,37 +236,28 @@ class WeightedOrientedGraph:
         )
 
 
-def _default_names(n: int, names: Sequence[str] | None) -> tuple[str, ...]:
-    if names is None:
-        return tuple(f"x{i}" for i in range(1, n + 1))
-    names = tuple(names)
-    if len(names) != n:
-        raise ValueError(f"expected {n} vertex names, got {len(names)}")
-    return names
+def _default_names(n: int) -> tuple[str, ...]:
+    return tuple(f"x{i}" for i in range(1, n + 1))
 
 
-def oriented_line(
-    n: int, weights: Sequence[int], names: Sequence[str] | None = None
-) -> WeightedOrientedGraph:
+def oriented_line(n: int, weights: Sequence[int]) -> WeightedOrientedGraph:
     """The path x1 -> x2 -> ... -> xn with the given weights."""
     if n < 1:
         raise ValueError("a line needs at least one vertex")
     if len(weights) != n:
         raise ValueError(f"expected {n} weights, got {len(weights)}")
-    vs = _default_names(n, names)
+    vs = _default_names(n)
     edges = [(vs[i], vs[i + 1]) for i in range(n - 1)]
     return WeightedOrientedGraph(vs, edges, dict(zip(vs, weights)))
 
 
-def oriented_cycle(
-    n: int, weights: Sequence[int], names: Sequence[str] | None = None
-) -> WeightedOrientedGraph:
+def oriented_cycle(n: int, weights: Sequence[int]) -> WeightedOrientedGraph:
     """The cycle x1 -> x2 -> ... -> xn -> x1 with the given weights."""
     if n < 3:
         raise ValueError("an oriented cycle needs at least three vertices")
     if len(weights) != n:
         raise ValueError(f"expected {n} weights, got {len(weights)}")
-    vs = _default_names(n, names)
+    vs = _default_names(n)
     edges = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
     return WeightedOrientedGraph(vs, edges, dict(zip(vs, weights)))
 
@@ -309,38 +300,32 @@ def rooted_tree(
 
 
 def forest_broom(
-    w_y: int,
-    w_z: int,
-    tree: WeightedOrientedGraph,
-    root: str,
-    *,
-    x_name: str = "x",
-    y_name: str = "y",
+    w_y: int, w_z: int, tree: WeightedOrientedGraph, root: str
 ) -> WeightedOrientedGraph:
     """Attach a handle x -> y -> root in front of a tree oriented away from root.
 
     The tree's own weights are kept, except that w_z replaces the root's.
     Non-sink vertices of the result must have weight >= 2 (sinks may keep
     weight 1).  x is a source, so its weight never enters the edge ideal;
-    it is stored as 2.
+    it is stored as 2.  A tree vertex named x or y raises ValueError.
     """
     _check_tree(tree, root)
-    for fresh in (x_name, y_name):
+    for fresh in ("x", "y"):
         if fresh in tree._position:
             raise ValueError(f"handle vertex {fresh!r} collides with a tree vertex")
 
     wmap = tree.weights
     wmap[root] = w_z
-    wmap[x_name] = 2
-    wmap[y_name] = w_y
+    wmap["x"] = 2
+    wmap["y"] = w_y
 
-    vertices = (x_name, y_name) + tree.vertices
-    edges = [(x_name, y_name), (y_name, root)] + list(tree.edges)
+    vertices = ("x", "y") + tree.vertices
+    edges = [("x", "y"), ("y", root)] + list(tree.edges)
     broom = WeightedOrientedGraph(vertices, edges, wmap)
 
     sinks = broom.sinks()
     for v in broom.vertices:
-        if v == x_name or v in sinks:
+        if v == "x" or v in sinks:
             continue
         if broom.weight(v) < 2:
             raise ValueError(

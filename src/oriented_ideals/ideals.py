@@ -100,7 +100,7 @@ def irreducible_component(
     """
     cover = _vertex_set(cover)
     parts = cover_partition(g, cover)  # ValueError for a set that is no cover
-    if not parts.is_strong(g):
+    if not parts.is_strong():
         raise ValueError(f"{sorted(cover)} is not a strong vertex cover")
     return IrreducibleComponent(g, cover, parts)
 

@@ -24,6 +24,8 @@ unpacked to tuples only when something reads them: the generators, their
 strings, the hash, equality of ideals packed at different widths, and
 packing at another width.  The largest exponent is read from the lcm of
 all rows, which is folded packed as below and is the one row unpacked.
+Only the unpacked rows and the largest exponent are kept once worked out;
+the generators, as Monomials, and the hash are built on each read.
 
 W is worked out per operation, never set: ``vbits`` is the bit length of
 n * e, where n is the ambient size and e the largest exponent the result
@@ -86,7 +88,7 @@ class Monomial:
     hashes, and reads an exponent by name.
     """
 
-    __slots__ = ("_exps", "_hash")
+    __slots__ = ("_exps",)
 
     def __init__(self, exponents: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         exps = dict(exponents)
@@ -98,7 +100,6 @@ class Monomial:
                 raise ValueError(f"exponent of {var} is negative: {exp}")
         # zero exponents are not stored
         self._exps = {v: e for v, e in sorted(exps.items()) if e > 0}
-        self._hash: int | None = None
 
     @classmethod
     def from_str(cls, text: str) -> Monomial:
@@ -155,9 +156,7 @@ class Monomial:
         return self._exps == other._exps
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(self._exps.items()))
-        return self._hash
+        return hash(tuple(self._exps.items()))
 
 
 class _Layout:
@@ -290,14 +289,12 @@ class MonomialIdeal:
 
     An ideal stores only its packed rows, as minimalization left them, and
     the ``_Layout`` they were packed with; an operation whose layout has
-    that width reuses them.  The exponent tuples in ``_rows``, the
-    generators and the largest exponent are each worked out on first use.
+    that width reuses them.  The exponent tuples in ``_rows`` and the
+    largest exponent are worked out on first use and kept; the generators
+    and the hash are built from ``_rows`` on each read.
     """
 
-    __slots__ = (
-        "_ambient", "_position", "_packed", "_layout", "_tuples", "_max", "_gens",
-        "_hash",
-    )
+    __slots__ = ("_ambient", "_position", "_packed", "_layout", "_tuples", "_max")
 
     def __init__(
         self,
@@ -349,8 +346,6 @@ class MonomialIdeal:
         self._layout = layout
         self._tuples: tuple[tuple[int, ...], ...] | None = None
         self._max: int | None = None
-        self._gens: tuple[Monomial, ...] | None = None
-        self._hash: int | None = None
 
     def _minimal(self, layout: _Layout, packed: set[int]) -> MonomialIdeal:
         """The ideal over this ambient generated by the packed rows."""
@@ -407,9 +402,8 @@ class MonomialIdeal:
 
     @property
     def generators(self) -> tuple[Monomial, ...]:
-        if self._gens is None:
-            self._gens = tuple(map(self._monomial, self._rows))
-        return self._gens
+        """The generators as Monomials, built on each read."""
+        return tuple(map(self._monomial, self._rows))
 
     @property
     def num_generators(self) -> int:
@@ -568,9 +562,7 @@ class MonomialIdeal:
         return self._rows == other._rows
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._ambient, self._rows))
-        return self._hash
+        return hash((self._ambient, self._rows))
 
     def __str__(self) -> str:
         return "[" + ", ".join(self.generator_strings()) + "]"

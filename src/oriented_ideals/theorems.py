@@ -116,12 +116,12 @@ def check_full_cover_equality(g: WeightedOrientedGraph, s_max: int = 3) -> Check
         return _skip(name, instance, "isolated vertices are outside the statement")
 
     full_strong = is_strong_cover(g, g.vertices)
-    no_sources = not g.sources()
-    equivalence_ok = full_strong == no_sources
+    sources = g.sources()
+    equivalence_ok = full_strong == (not sources)
 
     details: dict = {
         "full_cover_strong": full_strong,
-        "sources": sorted(g.sources()),
+        "sources": sorted(sources),
     }
     prediction = "full cover strong iff no sources"
     if full_strong:
@@ -130,12 +130,12 @@ def check_full_cover_equality(g: WeightedOrientedGraph, s_max: int = 3) -> Check
         prediction += f"; powers equal up to s={s_max}"
         passed = equivalence_ok and report.all_equal
         computed = (
-            f"strong={full_strong}, sources={len(g.sources())}, "
+            f"strong={full_strong}, sources={len(sources)}, "
             f"first_inequality={report.first_inequality}"
         )
     else:
         passed = equivalence_ok
-        computed = f"strong={full_strong}, sources={len(g.sources())}"
+        computed = f"strong={full_strong}, sources={len(sources)}"
     return CheckResult(
         check=name,
         instance=instance,
@@ -200,8 +200,9 @@ def check_broom_equality(
 
     x, y = broom.vertices[0], broom.vertices[1]
     ambient = broom.vertices
-    tree_part = broom.induced_subgraph(tree.vertices)
-    tree_ideal = edge_ideal(tree_part).with_ambient(ambient)
+    # the handle's generators x*y^w(y) and y*root^w lie in both families'
+    # pure-power parts, so adding the whole edge ideal adds the tree's
+    broom_ideal = edge_ideal(broom)
 
     # a broom has edges, so its components are indexed by all its strong
     # covers, in scan order
@@ -223,11 +224,11 @@ def check_broom_equality(
     w_root = broom.weight(root)
     predicted_1 = MonomialIdeal(
         ambient, [Monomial({x: 1}), Monomial({root: w_root})]
-    ) + tree_ideal
+    ) + broom_ideal
     predicted_2 = MonomialIdeal(
         ambient,
         [Monomial({y: broom.weight(y)}), Monomial({y: 1, root: w_root})],
-    ) + tree_ideal
+    ) + broom_ideal
 
     expected_maximal = {
         frozenset(broom.vertices) - {y},
@@ -530,14 +531,7 @@ class RegressionSummary:
         }
 
 
-def random_regression(
-    seed: int,
-    trials: int,
-    *,
-    s_max: int = 3,
-    n_max: int = 7,
-    weight_max: int = 3,
-) -> RegressionSummary:
+def random_regression(seed: int, trials: int, *, s_max: int = 3) -> RegressionSummary:
     """Random graphs through the standing identities: the decomposition
     intersection recovers the edge ideal, the two symbolic routes agree,
     and every ordinary power sits inside its symbolic power.
@@ -550,15 +544,16 @@ def random_regression(
     route reads the other's ideals.  The first failure of a graph ends
     its sweep.
 
-    Any counterexample is recorded with the full graph for reproduction.
-    trials and s_max below 1, or given as a bool, raise ValueError.
+    The graphs are drawn by random_graph with its defaults: 2 to 7
+    vertices, weights 1 to 3.  Any counterexample is recorded with the
+    full graph for reproduction.  trials and s_max below 1, or given as a bool, raise ValueError.
     """
     _require_positive("trials", trials)
     _require_positive("s_max", s_max)
     rng = random.Random(seed)
     summary = RegressionSummary(seed=seed, trials=trials)
     for _ in range(trials):
-        g = random_graph(rng, n_max=n_max, weight_max=weight_max)
+        g = random_graph(rng)
         ideal = edge_ideal(g)
         comps = irreducible_decomposition(g)
         if decomposition_intersection(comps, g) != ideal:

@@ -346,13 +346,13 @@ def assert_irredundant(components) -> None:
 
 
 def reference_random_regression(
-    seed: int, trials: int, *, s_max: int = 3, n_max: int = 7, weight_max: int = 3
+    seed: int, trials: int, *, s_max: int = 3
 ) -> RegressionSummary:
     """The regression sweep, calling both symbolic routes afresh for each s."""
     rng = random.Random(seed)
     summary = RegressionSummary(seed=seed, trials=trials)
     for _ in range(trials):
-        g = random_graph(rng, n_max=n_max, weight_max=weight_max)
+        g = random_graph(rng)
         ideal = edge_ideal(g)
         comps = irreducible_decomposition(g)
         if decomposition_intersection(comps, g) != ideal:

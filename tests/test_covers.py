@@ -393,7 +393,7 @@ def test_mask_tests_match_set_reference(family):
             ref = reference_cover_partition(g, c)
             assert (p.cover, p.l1, p.l2, p.l3) == (ref.cover, ref.l1, ref.l2, ref.l3)
             assert p.to_json(g) == ref.to_json(g)
-            assert p.is_strong(g) == ref.is_strong(g)
+            assert p.is_strong() == ref.is_strong(g)
             assert hash(p) == hash(ref)
             again = cover_partition(twin, list(c))
             assert p == cover_partition(g, set(c)) == again

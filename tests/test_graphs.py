@@ -100,7 +100,8 @@ def test_equal_graphs_hash_equal():
     g = WeightedOrientedGraph(("a", "b"), [("a", "b")], {"a": 1, "b": 3})
     h = WeightedOrientedGraph(["a", "b"], (("a", "b"),), {"b": 3})
     assert g == h and hash(g) == hash(h)
-    assert len({g, h, oriented_line(2, (1, 3), names=("a", "b"))}) == 1
+    line = WeightedOrientedGraph(("x1", "x2"), [("x1", "x2")], {"x2": 3})
+    assert len({line, oriented_line(2, (1, 3))}) == 1
     assert g != WeightedOrientedGraph(("a", "b"), [("a", "b")], {"a": 2, "b": 3})
 
 
@@ -113,8 +114,6 @@ def test_line_and_cycle_argument_errors():
         oriented_cycle(2, (2, 2))
     with pytest.raises(ValueError, match="expected 4 weights, got 3"):
         oriented_cycle(4, (2, 2, 2))
-    with pytest.raises(ValueError, match="expected 3 vertex names, got 2"):
-        oriented_cycle(3, (2, 2, 2), names=("a", "b"))
 
 
 def test_vertices_given_as_one_string_rejected():
@@ -164,9 +163,9 @@ def test_underlying_edges_forget_orientation():
 
 
 def test_rooted_tree_matches_line():
-    t = rooted_tree({"p": "z", "q": "p"}, "z", {"z": 2, "p": 2, "q": 1})
-    assert t == oriented_line(3, (2, 2, 1), names=("z", "p", "q"))
-    assert t.sources() == {"z"}
+    t = rooted_tree({"x2": "x1", "x3": "x2"}, "x1", {"x1": 2, "x2": 2, "x3": 1})
+    assert t == oriented_line(3, (2, 2, 1))
+    assert t.sources() == {"x1"}
 
 
 def test_rooted_tree_validation():
@@ -228,11 +227,10 @@ def test_forest_broom_root_and_name_checks():
     tree = rooted_tree({"t1": "z"}, "z", {"z": 2, "t1": 1})
     with pytest.raises(ValueError):
         forest_broom(2, 2, tree, "t1")  # not the root
-    clash = rooted_tree({"x": "z"}, "z", {"z": 2, "x": 1})
-    with pytest.raises(ValueError):
-        forest_broom(2, 2, clash, "z")
-    renamed = forest_broom(2, 2, clash, "z", x_name="u", y_name="v")
-    assert renamed.vertices[:2] == ("u", "v")
+    for name in ("x", "y"):
+        clash = rooted_tree({name: "z"}, "z", {"z": 2, name: 1})
+        with pytest.raises(ValueError, match=f"handle vertex '{name}' collides"):
+            forest_broom(2, 2, clash, "z")
 
 
 def test_json_round_trip():

@@ -109,6 +109,9 @@ def test_parse_round_trip():
         Monomial.from_str("x1*x1")
     with pytest.raises(ValueError):
         Monomial.from_str("x1^a")
+    for text in ("x1**x2", "*x1", "x1*"):
+        with pytest.raises(ValueError, match="empty factor"):
+            Monomial.from_str(text)
 
 
 def test_format_uses_ambient_order():
