@@ -25,7 +25,10 @@ strings, the hash, equality of ideals packed at different widths, and
 packing at another width.  The largest exponent is read from the lcm of
 all rows, which is folded packed as below and is the one row unpacked.
 Only the unpacked rows and the largest exponent are kept once worked out;
-the generators, as Monomials, and the hash are built on each read.
+the generators, as Monomials, and the hash are built on each read.  A
+generator's string is joined straight from its row's nonzero fields in
+ambient order ("v" or "v^e", "1" for the zero row), with no Monomial
+built; str and repr of an ideal read those strings.
 
 W is worked out per operation, never set: ``vbits`` is the bit length of
 n * e, where n is the ambient size and e the largest exponent the result
@@ -322,14 +325,18 @@ class MonomialIdeal:
         """The ideal generated by x_i^e for each position i and exponent e in powers.
 
         The ambient names are distinct and the exponents positive; each
-        generator is packed as its one field, with no exponent row.
+        generator is packed as its one field, with no exponent row.  Powers
+        of distinct variables never divide one another, so minimalization
+        keeps them all and their largest exponent is the ideal's.
         """
-        layout = _Layout(len(ambient), max(powers.values(), default=0))
+        top = max(powers.values(), default=0)
+        layout = _Layout(len(ambient), top)
         shifts = layout.shifts
         ideal = cls.__new__(cls)
         ideal._ambient = ambient
         ideal._position = {v: i for i, v in enumerate(ambient)}
         ideal._keep(layout, layout.minimal({e << shifts[i] for i, e in powers.items()}))
+        ideal._max = top
         return ideal
 
     @classmethod
@@ -419,7 +426,12 @@ class MonomialIdeal:
         return self._packed == [0]
 
     def generator_strings(self) -> list[str]:
-        return [g.format(self._ambient) for g in self.generators]
+        """The generators as strings such as "x1*x3^2", variables in ambient order."""
+        ambient = self._ambient
+        return [
+            "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(ambient, row) if e) or "1"
+            for row in self._rows
+        ]
 
     def _require_same_ambient(self, other: MonomialIdeal) -> None:
         if self._ambient != other._ambient:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oriented_ideals import (
     IrreducibleComponent,
@@ -15,6 +16,7 @@ from oriented_ideals import (
     decomposition_intersection,
     edge_ideal,
     enumerate_strong_covers,
+    intersect_all,
     irreducible_component,
     irreducible_decomposition,
     oriented_cycle,
@@ -181,6 +183,62 @@ def test_decomposition_identity_random(g):
     assert decomposition_intersection(comps, g) == edge_ideal(g)
 
 
+def scan_order_intersection(components):
+    """The identity fold in the order the covers were scanned, as a reference."""
+    return intersect_all([c.ideal for c in components])
+
+
+def identity_order_graphs():
+    """Cycles and lines of 2 to 12 vertices, constant and random weights in {1, 2, 3}."""
+    rng = random.Random(24)
+    for n in range(2, 13):
+        weightings = [(w,) * n for w in (1, 2, 3)]
+        weightings += [tuple(rng.choice((1, 2, 3)) for _ in range(n)) for _ in range(2)]
+        for w in weightings:
+            yield oriented_line(n, w)
+            if n >= 3:
+                yield oriented_cycle(n, w)
+
+
+def test_identity_fold_order_changes_no_result():
+    for g in identity_order_graphs():
+        comps = irreducible_decomposition(g)
+        meet = decomposition_intersection(comps, g)
+        assert meet == scan_order_intersection(comps) == edge_ideal(g), g
+
+
+@given(small_graphs(6), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_identity_fold_ignores_the_callers_order(g, rng):
+    comps = irreducible_decomposition(g)
+    shuffled = comps[:]
+    rng.shuffle(shuffled)
+    meet = decomposition_intersection(shuffled, g)
+    assert meet == decomposition_intersection(comps, g) == edge_ideal(g)
+    if comps:
+        assert meet == scan_order_intersection(shuffled)
+
+
+def test_identity_fold_stays_small(monkeypatch):
+    # in scan order the running intersection on this cycle peaks at 124
+    # generators; in cover-mask order at 21
+    g = oriented_cycle(12, (2,) * 12)
+    comps = irreducible_decomposition(g)
+    assert len(comps) == 322
+    sizes = []
+    intersect = MonomialIdeal.intersect
+
+    def recording(self, other):
+        result = intersect(self, other)
+        sizes.append(result.num_generators)
+        return result
+
+    monkeypatch.setattr(MonomialIdeal, "intersect", recording)
+    assert decomposition_intersection(comps, g) == edge_ideal(g)
+    assert len(sizes) == len(comps) - 1
+    assert max(sizes) <= 21
+
+
 def test_components_share_ambient():
     comps = irreducible_decomposition(LINE3)
     assert all(c.ideal.ambient == LINE3.vertices for c in comps)
@@ -204,6 +262,14 @@ def test_component_ideal_read_matches_monomial_construction(g):
         assert comp.ideal == reference
         assert comp.ideal._rows == reference._rows
         assert comp.ideal.generator_strings() == reference.generator_strings()
+
+
+def test_component_ideal_records_its_largest_exponent():
+    for g in component_reference_graphs():
+        for comp in irreducible_decomposition(g):
+            ideal = comp.ideal
+            assert ideal._max is not None  # set when built, with no lcm fold
+            assert ideal._maxexp() == max(chain.from_iterable(ideal._rows), default=0)
 
 
 def test_components_from_rows_match_monomial_construction():

@@ -487,6 +487,39 @@ def test_equal_generator_counts_with_other_rows_are_unequal(case, shift):
         assert a != times
 
 
+def reference_generator_strings(ideal: MonomialIdeal) -> list[str]:
+    """Each generator built as a Monomial and formatted in ambient order."""
+    return [g.format(ideal.ambient) for g in ideal.generators]
+
+
+def assert_strings_match_reference(ideal: MonomialIdeal) -> None:
+    expected = reference_generator_strings(ideal)
+    assert ideal.generator_strings() == expected
+    assert str(ideal) == "[" + ", ".join(expected) + "]"
+    assert repr(ideal) == f"MonomialIdeal({ideal.ambient!r}, {expected!r})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(ambient_and_rows())
+def test_generator_strings_match_monomial_format(case):
+    ambient, a_rows, b_rows = case
+    a, b = from_rows(ambient, a_rows), from_rows(ambient, b_rows)
+    for result in (a, a * b, a.intersect(b)):
+        assert_strings_match_reference(result)
+
+
+def test_generator_strings_of_zero_unit_and_named_ideals():
+    names = ("é", "a b", "x_1", "y")
+    for ideal_, strings in (
+        (MonomialIdeal.zero(names), []),
+        (MonomialIdeal.unit(names), ["1"]),
+        (MonomialIdeal.unit(()), ["1"]),
+        (MonomialIdeal(names, ["y*é^3", "a b^2*x_1"]), ["a b^2*x_1", "é^3*y"]),
+    ):
+        assert ideal_.generator_strings() == strings
+        assert_strings_match_reference(ideal_)
+
+
 @settings(max_examples=200, deadline=None)
 @given(ambient_and_rows(), st.data())
 def test_largest_exponent_is_exact(case, data):
