@@ -30,7 +30,7 @@ from .ideals import (
     irreducible_component,
     irreducible_decomposition,
 )
-from .monomials import Monomial, MonomialIdeal, intersect_all
+from .monomials import MonomialIdeal, intersect_all
 from .symbolic import (
     EqualityReport,
     InvariantError,
@@ -64,7 +64,6 @@ __all__ = [
     "EqualityReport",
     "InvariantError",
     "IrreducibleComponent",
-    "Monomial",
     "MonomialIdeal",
     "PowerComparison",
     "RegressionSummary",

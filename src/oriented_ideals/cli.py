@@ -79,7 +79,7 @@ def cmd_covers(args: argparse.Namespace) -> int:
 
     if args.json:
         if args.partition:
-            payload = [cover_partition(g, c).to_json(g) for c in covers]
+            payload = [cover_partition(g, c).to_json() for c in covers]
         else:
             payload = [list(g.sort_vertices(c)) for c in covers]
         print(json.dumps(payload, indent=2))
@@ -106,7 +106,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.json:
         payload = {
             "edge_ideal": ideal.generator_strings(),
-            "components": [c.to_json(g) for c in comps],
+            "components": [c.to_json() for c in comps],
             "intersection_equals_edge_ideal": identity,
         }
         print(json.dumps(payload, indent=2))
@@ -187,7 +187,7 @@ def cmd_power(args: argparse.Namespace) -> int:
     else:
         print(f"{'s':>3} {'|I^s|':>7} {'|I^(s)|':>8} {'equal':>6}  witness")
         for step in report.per_s:
-            witness = "-" if step.witness is None else step.witness.format(g.vertices)
+            witness = "-" if step.witness is None else step.witness
             print(
                 f"{step.s:>3} {step.ordinary_generators:>7} "
                 f"{step.symbolic_generators:>8} {str(step.equal).lower():>6}  {witness}"

@@ -286,12 +286,12 @@ class CoverPartition:
         cover, l1, l2, l3 = self._layers()
         return f"CoverPartition(cover={cover!r}, l1={l1!r}, l2={l2!r}, l3={l3!r})"
 
-    def to_json(self, g: WeightedOrientedGraph) -> dict:
+    def to_json(self) -> dict:
+        """The cover and its layers as lists of names in vertex order."""
+        bit = self._table.bit  # built in vertex order
         return {
-            "cover": list(g.sort_vertices(self.cover)),
-            "L1": list(g.sort_vertices(self.l1)),
-            "L2": list(g.sort_vertices(self.l2)),
-            "L3": list(g.sort_vertices(self.l3)),
+            key: [v for v, b in bit.items() if mask & b]
+            for key, mask in zip(("cover", "L1", "L2", "L3"), self._masks)
         }
 
     def is_strong(self) -> bool:

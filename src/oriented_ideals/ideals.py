@@ -30,13 +30,13 @@ from collections.abc import Iterable
 
 from .covers import CoverPartition, _vertex_set, cover_partition, enumerate_strong_covers
 from .graphs import WeightedOrientedGraph
-from .monomials import Monomial, MonomialIdeal, intersect_all
+from .monomials import MonomialIdeal, intersect_all
 
 
 def edge_ideal(g: WeightedOrientedGraph) -> MonomialIdeal:
     """The ideal generated by tail * head^weight(head) over all edges."""
     weights = g._weights
-    return MonomialIdeal(g.vertices, [Monomial({t: 1, h: weights[h]}) for t, h in g.edges])
+    return MonomialIdeal(g.vertices, [f"{t}*{h}^{weights[h]}" for t, h in g.edges])
 
 
 class IrreducibleComponent:
@@ -92,8 +92,8 @@ class IrreducibleComponent:
     def __repr__(self) -> str:
         return f"IrreducibleComponent(cover={self._cover!r}, ideal={self.ideal!r})"
 
-    def to_json(self, g: WeightedOrientedGraph) -> dict:
-        out = self._parts.to_json(g)
+    def to_json(self) -> dict:
+        out = self._parts.to_json()
         out["ideal"] = self.ideal.generator_strings()
         return out
 

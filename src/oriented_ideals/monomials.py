@@ -1,10 +1,11 @@
-"""Exact arithmetic for monomial ideals, and named monomials for input and output.
+"""Exact arithmetic for monomial ideals, read from and written as monomial strings.
 
-A Monomial names its exponents: a mapping from variable name to positive
-exponent, the identity monomial being the empty mapping.  It is only a
-value for input and output (generators, witnesses, membership queries)
-and has no arithmetic of its own; all arithmetic is on ideals, over the
-packed rows below.
+A monomial has two forms.  Outside this module it is a string such as
+"x1*x3^2": variables joined by "*", each with "^e" when its exponent e is
+above 1, and "1" for the identity monomial.  Generators, witnesses and
+membership queries are such strings, and ``_parse`` is the one reader and
+``_format`` the one writer.  Inside an ideal it is a packed exponent row,
+below, and all arithmetic is on those rows.
 
 A monomial ideal lives in a fixed ambient polynomial ring, given as an
 ordered tuple of variable names, and is always kept in canonical form:
@@ -20,15 +21,13 @@ field.  A field is ``vbits`` value bits topped by a guard bit that stays
 clear in every packed row.  An ideal keeps its rows as the minimalization
 that made it left them, with the layout that packed them, so an operation
 whose own layout has the same ``vbits`` packs nothing again.  Rows are
-unpacked to tuples only when something reads them: the generators, their
+unpacked to tuples only when something reads them: the generator
 strings, the hash, equality of ideals packed at different widths, and
 packing at another width.  The largest exponent is read from the lcm of
 all rows, which is folded packed as below and is the one row unpacked.
 Only the unpacked rows and the largest exponent are kept once worked out;
-the generators, as Monomials, and the hash are built on each read.  A
-generator's string is joined straight from its row's nonzero fields in
-ambient order ("v" or "v^e", "1" for the zero row), with no Monomial
-built; str and repr of an ideal read those strings.
+the generators, as strings in ambient order, and the hash are built on
+each read, and str and repr of an ideal read those strings.
 
 W is worked out per operation, never set: ``vbits`` is the bit length of
 n * e, where n is the ambient size and e the largest exponent the result
@@ -67,7 +66,7 @@ generators is one partial block.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from operator import lshift
 
@@ -84,82 +83,39 @@ def _check_name(name: object, kind: str) -> None:
         raise ValueError(f"{kind} name {name!r} is empty, padded, '1', or holds '*' or '^'")
 
 
-class Monomial:
-    """An exponent vector with named variables, e.g. x1*x3^2.
+def _parse(text: str) -> dict[str, int]:
+    """The exponents of a monomial string such as "x1*x3^2", by variable name.
 
-    A value for input and output only: it parses, formats, compares and
-    hashes, and reads an exponent by name.
+    An exponent of 1 may be omitted, "1" is the identity monomial, and an
+    exponent is ASCII digits only; whitespace around a factor is ignored.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"a monomial must be a string such as 'x1*x3^2', got {text!r}")
+    text = text.strip()
+    if text == "1":
+        return {}
+    exps: dict[str, int] = {}
+    for factor in text.split("*"):
+        factor = factor.strip()
+        var, sep, exp = factor.partition("^")
+        if not var:
+            raise ValueError(f"empty factor in monomial string {text!r}")
+        _check_name(var, "variable")
+        if sep and not (exp.isascii() and exp.isdigit()):
+            raise ValueError(f"bad exponent in factor {factor!r}")
+        e = int(exp) if sep else 1
+        if e < 1:
+            raise ValueError(f"exponent must be positive in factor {factor!r}")
+        if var in exps:
+            raise ValueError(f"repeated variable {var!r} in {text!r}")
+        exps[var] = e
+    return exps
 
-    __slots__ = ("_exps",)
 
-    def __init__(self, exponents: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
-        exps = dict(exponents)
-        for var, exp in exps.items():
-            _check_name(var, "variable")
-            if not isinstance(exp, int) or isinstance(exp, bool):
-                raise TypeError(f"exponent of {var} must be an int, got {exp!r}")
-            if exp < 0:
-                raise ValueError(f"exponent of {var} is negative: {exp}")
-        # zero exponents are not stored
-        self._exps = {v: e for v, e in sorted(exps.items()) if e > 0}
-
-    @classmethod
-    def from_str(cls, text: str) -> Monomial:
-        """Parse "x1*x3^2" (exponent 1 omitted, "1" is the identity)."""
-        text = text.strip()
-        if text == "1":
-            return cls()
-        exps: dict[str, int] = {}
-        for factor in text.split("*"):
-            factor = factor.strip()
-            var, sep, exp = factor.partition("^")
-            if not var:
-                raise ValueError(f"empty factor in monomial string {text!r}")
-            if sep:
-                try:
-                    e = int(exp)
-                except ValueError:
-                    raise ValueError(f"bad exponent in factor {factor!r}") from None
-            else:
-                e = 1
-            if e < 1:
-                raise ValueError(f"exponent must be positive in factor {factor!r}")
-            if var in exps:
-                raise ValueError(f"repeated variable {var!r} in {text!r}")
-            exps[var] = e
-        return cls(exps)
-
-    def __getitem__(self, var: str) -> int:
-        return self._exps.get(var, 0)
-
-    def items(self) -> Iterable[tuple[str, int]]:
-        return self._exps.items()
-
-    def format(self, order: Sequence[str] | None = None) -> str:
-        """Render as "x1*x3^2", listing variables in the given order."""
-        if not self._exps:
-            return "1"
-        if order is None:
-            vs = list(self._exps)
-        else:
-            vs = [v for v in order if v in self._exps]
-            vs += sorted(self._exps.keys() - set(order))
-        return "*".join(v if self._exps[v] == 1 else f"{v}^{self._exps[v]}" for v in vs)
-
-    def __str__(self) -> str:
-        return self.format()
-
-    def __repr__(self) -> str:
-        return f"Monomial({self._exps!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self._exps == other._exps
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._exps.items()))
+def _format(ambient: Sequence[str], row: Iterable[int]) -> str:
+    """The string of an exponent row: "v" or "v^e" per nonzero field in
+    ambient order, joined by "*", and "1" for the zero row."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(ambient, row) if e) or "1"
 
 
 class _Layout:
@@ -286,9 +242,10 @@ class _Divisors:
 class MonomialIdeal:
     """A monomial ideal in canonical form over a fixed variable order.
 
-    Generators are minimalized and sorted on construction, so structural
-    equality of two ideals over the same ambient is ideal equality.  The
-    zero ideal has no generators; the unit ideal is generated by 1.
+    Generators are monomial strings, given as any iterable of them.  They
+    are minimalized and sorted on construction, so structural equality of
+    two ideals over the same ambient is ideal equality.  The zero ideal has
+    no generators; the unit ideal is generated by "1".
 
     An ideal stores only its packed rows, as minimalization left them, and
     the ``_Layout`` they were packed with; an operation whose layout has
@@ -302,10 +259,12 @@ class MonomialIdeal:
     def __init__(
         self,
         ambient: Sequence[str],
-        generators: Iterable[Monomial | str] = (),
+        generators: Iterable[str] = (),
     ):
         if isinstance(ambient, str):
             raise TypeError(f"ambient must be a sequence of names, not {ambient!r}")
+        if isinstance(generators, str):
+            raise TypeError(f"generators must be monomial strings, not the string {generators!r}")
         ambient = tuple(ambient)
         for v in ambient:
             _check_name(v, "variable")
@@ -313,10 +272,7 @@ class MonomialIdeal:
             raise ValueError("ambient variables must be distinct")
         self._ambient = ambient
         self._position = {v: i for i, v in enumerate(ambient)}
-        rows = [
-            self._row(Monomial.from_str(g) if isinstance(g, str) else g)
-            for g in generators
-        ]
+        rows = list(map(self._row, generators))
         layout = _Layout(len(ambient), max(chain.from_iterable(rows), default=0))
         self._keep(layout, layout.minimal(set(layout.pack(rows))))
 
@@ -345,7 +301,7 @@ class MonomialIdeal:
 
     @classmethod
     def unit(cls, ambient: Sequence[str]) -> MonomialIdeal:
-        return cls(ambient, (Monomial(),))
+        return cls(ambient, ("1",))
 
     def _keep(self, layout: _Layout, kept: list[int]) -> None:
         """Take the rows that layout.minimal kept, packed by layout."""
@@ -392,14 +348,11 @@ class MonomialIdeal:
             return self._packed
         return layout.pack(self._rows)
 
-    def _monomial(self, row: tuple[int, ...]) -> Monomial:
-        return Monomial({v: e for v, e in zip(self._ambient, row) if e})
-
-    def _row(self, m: Monomial) -> tuple[int, ...]:
+    def _row(self, text: str) -> tuple[int, ...]:
         row = [0] * len(self._ambient)
-        for v, e in m.items():
+        for v, e in _parse(text).items():
             if v not in self._position:
-                raise ValueError(f"generator {m} uses {v!r}, not an ambient variable")
+                raise ValueError(f"generator {text} uses {v!r}, not an ambient variable")
             row[self._position[v]] = e
         return tuple(row)
 
@@ -408,13 +361,14 @@ class MonomialIdeal:
         return self._ambient
 
     @property
-    def generators(self) -> tuple[Monomial, ...]:
-        """The generators as Monomials, built on each read."""
-        return tuple(map(self._monomial, self._rows))
+    def generators(self) -> tuple[str, ...]:
+        """The generators as strings such as "x1*x3^2", variables in ambient order."""
+        ambient = self._ambient
+        return tuple(_format(ambient, row) for row in self._rows)
 
     @property
     def num_generators(self) -> int:
-        """Size of the minimal generating set, without building any Monomial."""
+        """Size of the minimal generating set, without formatting any generator."""
         return len(self._packed)
 
     @property
@@ -426,12 +380,8 @@ class MonomialIdeal:
         return self._packed == [0]
 
     def generator_strings(self) -> list[str]:
-        """The generators as strings such as "x1*x3^2", variables in ambient order."""
-        ambient = self._ambient
-        return [
-            "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(ambient, row) if e) or "1"
-            for row in self._rows
-        ]
+        """The generators, as a list."""
+        return list(self.generators)
 
     def _require_same_ambient(self, other: MonomialIdeal) -> None:
         if self._ambient != other._ambient:
@@ -448,12 +398,11 @@ class MonomialIdeal:
                 return i
         return None
 
-    def contains(self, m: Monomial | str) -> bool:
-        """Membership: some generator divides m."""
-        if isinstance(m, str):
-            m = Monomial.from_str(m)
+    def contains(self, m: str) -> bool:
+        """Membership: some generator divides the monomial string m."""
+        exps = _parse(m)
         # variables outside the ambient cannot matter: no generator uses them
-        row = [m[v] for v in self._ambient]
+        row = [exps.get(v, 0) for v in self._ambient]
         layout = _Layout(len(row), max(self._maxexp(), max(row, default=0)))
         return _Divisors(layout, self._pack(layout)).divides(layout.pack([row])[0])
 
@@ -462,17 +411,17 @@ class MonomialIdeal:
         self._require_same_ambient(other)
         return self._first_outside(other) is None
 
-    def first_generator_outside(self, other: MonomialIdeal) -> Monomial | None:
+    def first_generator_outside(self, other: MonomialIdeal) -> str | None:
         """The first generator of self, in canonical order, not in other.
 
         None when other contains self.  Only the generator returned is
-        built as a Monomial.
+        formatted.
         """
         self._require_same_ambient(other)
         i = other._first_outside(self)
         if i is None:
             return None
-        return self._monomial(self._layout.unpack(self._packed[i]))
+        return _format(self._ambient, self._layout.unpack(self._packed[i]))
 
     def __le__(self, other: MonomialIdeal) -> bool:
         if not isinstance(other, MonomialIdeal):

@@ -26,7 +26,7 @@ from itertools import islice
 from .covers import _maximal_covers, _vertex_set, is_strong_cover, maximal_strong_covers
 from .graphs import WeightedOrientedGraph
 from .ideals import edge_ideal, irreducible_decomposition
-from .monomials import Monomial, MonomialIdeal, intersect_all
+from .monomials import MonomialIdeal, intersect_all
 
 
 class InvariantError(RuntimeError):
@@ -140,19 +140,23 @@ def symbolic_power_oracle(g: WeightedOrientedGraph, s: int) -> MonomialIdeal:
 
 @dataclass(frozen=True)
 class PowerComparison:
-    """Ordinary versus symbolic power at one exponent."""
+    """Ordinary versus symbolic power at one exponent.
+
+    The witness is a monomial string in the graph's vertex order, or None
+    when the powers are equal.
+    """
 
     s: int
     equal: bool
-    witness: Monomial | None
+    witness: str | None
     ordinary_generators: int
     symbolic_generators: int
 
-    def to_json(self, ambient: Sequence[str]) -> dict:
+    def to_json(self) -> dict:
         return {
             "s": self.s,
             "equal": self.equal,
-            "witness": None if self.witness is None else self.witness.format(ambient),
+            "witness": self.witness,
             "ordinary_generators": self.ordinary_generators,
             "symbolic_generators": self.symbolic_generators,
         }
@@ -178,11 +182,10 @@ class EqualityReport:
         return None
 
     def to_json(self) -> dict:
-        ambient = self.graph["vertices"]
         return {
             "graph": self.graph,
             "s_max": self.s_max,
-            "per_s": [c.to_json(ambient) for c in self.per_s],
+            "per_s": [c.to_json() for c in self.per_s],
             "all_equal": self.all_equal,
             "first_inequality": self.first_inequality,
         }

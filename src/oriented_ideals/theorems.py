@@ -42,7 +42,7 @@ from .ideals import (
     edge_ideal,
     irreducible_decomposition,
 )
-from .monomials import Monomial, MonomialIdeal, intersect_all
+from .monomials import MonomialIdeal, _format, intersect_all
 from .symbolic import (
     _compare,
     _powers_up_to,
@@ -222,12 +222,9 @@ def check_broom_equality(
     computed_2 = intersect_all(through_y, ambient=ambient)
 
     w_root = broom.weight(root)
-    predicted_1 = MonomialIdeal(
-        ambient, [Monomial({x: 1}), Monomial({root: w_root})]
-    ) + broom_ideal
+    predicted_1 = MonomialIdeal(ambient, [x, f"{root}^{w_root}"]) + broom_ideal
     predicted_2 = MonomialIdeal(
-        ambient,
-        [Monomial({y: broom.weight(y)}), Monomial({y: 1, root: w_root})],
+        ambient, [f"{y}^{broom.weight(y)}", f"{y}*{root}^{w_root}"]
     ) + broom_ideal
 
     expected_maximal = {
@@ -288,14 +285,8 @@ def check_line_cubic_witness(weights: Sequence[int], i: int) -> CheckResult:
         return _skip(name, instance, f"w(x{i + 1})={weights[i]} but needs exactly 1")
 
     g = oriented_line(n, weights)
-    f = Monomial(
-        {
-            f"x{i - 1}": 1,
-            f"x{i}": weights[i - 1],
-            f"x{i + 1}": 2,
-            f"x{i + 2}": weights[i + 1],
-        }
-    )
+    # x_(i-1), x_i, x_(i+1) and x_(i+2) are the positions i-2 to i+1
+    f = _format(g.vertices, (0,) * (i - 2) + (1, weights[i - 1], 2, weights[i + 1]))
     report, cube, third_symbolic = _compare(g, 3)
     in_symbolic = third_symbolic.contains(f)
     in_cube = cube.contains(f)
@@ -307,11 +298,11 @@ def check_line_cubic_witness(weights: Sequence[int], i: int) -> CheckResult:
         hypotheses_ok=True,
         prediction="witness in third symbolic power, not in I^3; powers differ at s=3",
         computed=(
-            f"witness={f.format(g.vertices)}, in_symbolic={in_symbolic}, "
+            f"witness={f}, in_symbolic={in_symbolic}, "
             f"in_cube={in_cube}, unequal_at_3={unequal_at_3}"
         ),
         passed=passed,
-        details={"witness": f.format(g.vertices), "comparison": report.to_json()},
+        details={"witness": f, "comparison": report.to_json()},
     )
 
 
@@ -421,9 +412,9 @@ def check_line_cover_families(weights: Sequence[int]) -> CheckResult:
         prefix, t = vs[: k - cut], k + start - 1  # the tail line is vs[t:]
         lone_vars = {vs[k + i - 1] for i in lone}
         tail = (
-            [Monomial({v: 1}) for v in lone_vars]
-            + [Monomial({v: w}) for v, w in zip(vs[t : t + 1], weights[t:])]
-            + [Monomial({u: 1, v: w}) for u, v, w in zip(vs[t:], vs[t + 1 :], weights[t + 1 :])]
+            [*lone_vars]
+            + [f"{v}^{w}" for v, w in zip(vs[t : t + 1], weights[t:])]
+            + [f"{u}*{v}^{w}" for u, v, w in zip(vs[t:], vs[t + 1 :], weights[t + 1 :])]
         )
         fixed = lone_vars.union(vs[t:])
         covers = {c | fixed for c in minimal_vertex_covers(g.induced_subgraph(prefix))}
@@ -438,7 +429,7 @@ def check_line_cover_families(weights: Sequence[int]) -> CheckResult:
             continue
         fam, prefix_vars, tail, _, found = row
         found.add(c)
-        predicted = MonomialIdeal(vs, [Monomial({v: 1}) for v in c & prefix_vars] + tail)
+        predicted = MonomialIdeal(vs, [*c & prefix_vars, *tail])
         computed = q_sub_p(g, c)
         if computed != predicted:
             ideal_mismatches.append(

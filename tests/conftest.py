@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from oriented_ideals import (
     CheckResult,
-    Monomial,
     MonomialIdeal,
     RegressionSummary,
     WeightedOrientedGraph,
@@ -52,6 +51,24 @@ def small_graphs(draw, n_max):
 def gens(ideal):
     """The generator strings of an ideal, as a set."""
     return set(ideal.generator_strings())
+
+
+def monomial(ambient, exponents) -> str:
+    """The monomial string of an exponent map, variables in ambient order.
+
+    exponents is a mapping from name to exponent, or (name, exponent)
+    pairs; zero exponents are left out and the empty product is "1".  It is
+    written apart from the library's formatter, as the reference for it.
+    """
+    exps = dict(exponents)
+    factors = []
+    for v in ambient:
+        e = exps.get(v, 0)
+        if e == 1:
+            factors.append(v)
+        elif e > 1:
+            factors.append(f"{v}^{e}")
+    return "*".join(factors) if factors else "1"
 
 
 def brute_force_vertex_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
@@ -252,10 +269,10 @@ def reference_first_outside(a_rows, b_rows) -> tuple[int, ...] | None:
 # --- power comparison oracle --------------------------------------------------
 #
 # compare_powers reads the generator counts and searches for the witness on
-# rows; this is the Monomial-level search it replaced.
+# rows; this is the search over generator strings that it replaced.
 
 
-def reference_power_comparison(ordinary, symbolic) -> tuple[Monomial | None, int, int]:
+def reference_power_comparison(ordinary, symbolic) -> tuple[str | None, int, int]:
     """(witness, ordinary generator count, symbolic generator count).
 
     The witness is the first generator of the symbolic power, in canonical
@@ -290,11 +307,11 @@ def component_q_sub_p(components, prime) -> MonomialIdeal:
     for ideal in inside[1:]:
         rows = reference_intersection(rows, ideal._rows)
     ambient = inside[0].ambient
-    return MonomialIdeal(ambient, [Monomial(zip(ambient, row)) for row in rows])
+    return MonomialIdeal(ambient, [monomial(ambient, zip(ambient, row)) for row in rows])
 
 
 def reference_component_ideal(g: WeightedOrientedGraph, cover) -> MonomialIdeal:
-    """The component ideal of a strong cover, built from Monomial generators.
+    """The component ideal of a strong cover, built from generator strings.
 
     L1 is read off the raw edge list: the cover vertices with an
     out-neighbour outside the cover.  Each cover vertex gives x in L1 and
@@ -304,7 +321,7 @@ def reference_component_ideal(g: WeightedOrientedGraph, cover) -> MonomialIdeal:
     l1 = {t for t, h in g.edges if t in cover and h not in cover}
     weights = g.weights
     return MonomialIdeal(
-        g.vertices, [Monomial({v: 1 if v in l1 else weights[v]}) for v in cover]
+        g.vertices, [monomial(g.vertices, {v: 1 if v in l1 else weights[v]}) for v in cover]
     )
 
 
@@ -403,13 +420,14 @@ def reference_cubic_witness(weights, i: int) -> CheckResult:
         return skip(f"w(x{i + 1})={weights[i]} but needs exactly 1")
 
     g = oriented_line(n, weights)
-    f = Monomial(
+    f = monomial(
+        g.vertices,
         {
             f"x{i - 1}": 1,
             f"x{i}": weights[i - 1],
             f"x{i + 1}": 2,
             f"x{i + 2}": weights[i + 1],
-        }
+        },
     )
     cube = edge_ideal(g) ** 3
     third_symbolic = symbolic_power(g, 3)
@@ -423,11 +441,11 @@ def reference_cubic_witness(weights, i: int) -> CheckResult:
         hypotheses_ok=True,
         prediction="witness in third symbolic power, not in I^3; powers differ at s=3",
         computed=(
-            f"witness={f.format(g.vertices)}, in_symbolic={in_symbolic}, "
+            f"witness={f}, in_symbolic={in_symbolic}, "
             f"in_cube={in_cube}, unequal_at_3={unequal_at_3}"
         ),
         passed=in_symbolic and not in_cube and unequal_at_3,
-        details={"witness": f.format(g.vertices), "comparison": report.to_json()},
+        details={"witness": f, "comparison": report.to_json()},
     )
 
 

@@ -135,7 +135,7 @@ def test_empty_intersection_is_zero_ideal():
 
 def test_component_json_shape():
     comp = irreducible_component(LINE3, {"x1", "x3"})
-    data = comp.to_json(LINE3)
+    data = comp.to_json()
     assert data["cover"] == ["x1", "x3"]
     assert data["ideal"] == ["x1", "x3^2"]
     assert data["L1"] == ["x1"]
