@@ -118,14 +118,6 @@ class WeightedOrientedGraph:
         if v not in self._position:
             raise ValueError(f"unknown vertex {v!r}")
 
-    def out_neighbors(self, v: str) -> frozenset[str]:
-        self._check_vertex(v)
-        return self._out[v]
-
-    def in_neighbors(self, v: str) -> frozenset[str]:
-        self._check_vertex(v)
-        return self._in[v]
-
     def neighbors(self, v: str) -> frozenset[str]:
         self._check_vertex(v)
         return self._out[v] | self._in[v]
@@ -143,13 +135,6 @@ class WeightedOrientedGraph:
         """Non-isolated vertices with no out-neighbor (isolated vertices excluded)."""
         return frozenset(
             v for v in self._vertices if self._in[v] and not self._out[v]
-        )
-
-    def underlying_edges(self) -> tuple[tuple[str, str], ...]:
-        """Edges with orientation forgotten, endpoints in vertex order."""
-        pos = self._position
-        return tuple(
-            (t, h) if pos[t] < pos[h] else (h, t) for t, h in self._edges
         )
 
     def induced_subgraph(self, keep: Iterable[str]) -> WeightedOrientedGraph:

@@ -21,7 +21,11 @@ Neighbours in that order share a long prefix of cover vertices, so each
 step meets a component that differs from those before it in a few
 variables, and the running intersection stays small on its way to the
 edge ideal: on the all-weight-2 cycle C_12 its largest step holds 21
-generators, against 124 in the scan order of the covers.
+generators, against 124 in the scan order of the covers.  Each component
+ideal is generated by pure powers, and is marked so when built, so each
+step meets it without a divisor index: a generator of the running
+intersection is tested against the powers' sum and, when outside, raised
+to each power (see the monomials module).
 """
 
 from __future__ import annotations

@@ -62,6 +62,22 @@ k slots, with ``ones``, fill and top masks of k slots too: an empty slot
 would hold the zero row, which divides everything, so it must take no
 part.  Every row is tested through a block; an ideal of fewer than 64
 generators is one partial block.
+
+An ideal generated by pure powers x_i^a_i, i in S, as every irreducible
+component is, is met with no index and no lcm formula.  ``_pure_powers``
+marks the ideal it builds, and no other constructor or operation does, so
+the same ideal read from strings takes the general path.  With P the sum
+of its packed powers, a row with a_i in field i for each i in S, and G the
+guard bits of the fields in S, a row r lies in the ideal exactly when
+``((r | H) - P) & G`` is not zero: some field of r reaches its power.  A
+row r outside it meets x_i^a_i in r with field i raised to a_i, one row
+per i in S, and those raised rows generate the rest of the intersection; a
+power that lies in the other ideal shows up among them.  A generator of the
+other ideal that lies in the pure one is a generator of the intersection
+as it is, since anything in the intersection that divides it lies in the
+other ideal too.  So only the raised rows are minimalized, against these
+direct rows and the raised rows of smaller degree, and the two lists are
+merged into canonical order.
 """
 
 from __future__ import annotations
@@ -87,7 +103,8 @@ def _parse(text: str) -> dict[str, int]:
     """The exponents of a monomial string such as "x1*x3^2", by variable name.
 
     An exponent of 1 may be omitted, "1" is the identity monomial, and an
-    exponent is ASCII digits only; whitespace around a factor is ignored.
+    exponent is ASCII digits with no leading zero, so it reads back as
+    written; whitespace around a factor is ignored.
     """
     if not isinstance(text, str):
         raise TypeError(f"a monomial must be a string such as 'x1*x3^2', got {text!r}")
@@ -103,6 +120,8 @@ def _parse(text: str) -> dict[str, int]:
         _check_name(var, "variable")
         if sep and not (exp.isascii() and exp.isdigit()):
             raise ValueError(f"bad exponent in factor {factor!r}")
+        if exp[:1] == "0" and len(exp) > 1:
+            raise ValueError(f"exponent with a leading zero in factor {factor!r}")
         e = int(exp) if sep else 1
         if e < 1:
             raise ValueError(f"exponent must be positive in factor {factor!r}")
@@ -141,22 +160,30 @@ class _Layout:
     def unpack(self, x: int) -> tuple[int, ...]:
         return tuple(map(self.mask.__and__, map(x.__rshift__, self.shifts)))
 
-    def minimal(self, packed: set[int]) -> list[int]:
-        """The minimal elements of packed, sorted graded-lex.
+    def sort(self, rows: Iterable[int]) -> list[int]:
+        """The packed rows sorted graded-lex, by the key ``minimal`` uses."""
+        bits, modulus = self.bits, self.modulus
+        low = (1 << bits) - 1
+        keys = sorted([(x % modulus) << bits | (low ^ x) for x in rows])
+        return [key & low ^ low for key in keys]
 
-        Rows are scanned in graded-lex order, and a row is kept unless a
-        kept row of strictly smaller degree divides it; rows of one degree
-        cannot divide each other unless they are equal.  The sort key of a
-        row x is one int, its degree above ``2**bits - 1 - x``, so it orders
-        as ``(degree, -x)``.  The kept rows of smaller degree are searched
-        through a _Divisors index, which grows by the rows of each finished
-        degree.
+    def minimal(self, packed: set[int], known: Sequence[int] = ()) -> list[int]:
+        """The minimal elements of known and packed together, sorted graded-lex.
+
+        known holds rows already known to be minimal generators of the ideal
+        that known and packed generate, sorted graded-lex; they are taken as
+        they are and never tested.  The rows of
+        packed are scanned in graded-lex order, and a row is kept unless a
+        known row or a kept row of strictly smaller degree divides it; rows
+        of one degree cannot divide each other unless they are equal.  Both
+        are searched through one _Divisors index, which starts with the
+        known rows and grows by the rows of each finished degree.
         """
         bits, modulus = self.bits, self.modulus
         low = (1 << bits) - 1
         kept: list[int] = []  # kept rows of strictly smaller degree
         current: list[int] = []  # kept rows of the degree being scanned
-        smaller = _Divisors(self, [])
+        smaller = _Divisors(self, known)
         divides = smaller.divides
         limit = -1  # the largest key of the degree being scanned
         for key in sorted([(x % modulus) << bits | (low ^ x) for x in packed]):
@@ -167,9 +194,12 @@ class _Layout:
                     smaller.extend(current)
                     current = []
             x = key & low ^ low
-            if not kept or not divides(x):
+            if not (kept or known) or not divides(x):
                 current.append(x)
         kept += current
+        if known:
+            # two sorted runs, which the sort merges in one pass
+            kept = self.sort(chain(known, kept))
         return kept
 
 
@@ -189,7 +219,7 @@ class _Divisors:
 
     __slots__ = ("slot", "guard", "slot_fill", "blocks", "masks", "tail", "last")
 
-    def __init__(self, layout: _Layout, rows: list[int]):
+    def __init__(self, layout: _Layout, rows: Sequence[int]):
         self.slot = slot = layout.bits + 1
         self.guard = layout.guard
         # every bit of a slot but its guard bits and its top bit
@@ -206,11 +236,11 @@ class _Divisors:
         ones = ((1 << (slot * k)) - 1) // ((1 << slot) - 1)
         return ones, ones * self.slot_fill, ones << (slot - 1)
 
-    def extend(self, rows: list[int]) -> None:
+    def extend(self, rows: Sequence[int]) -> None:
         """Add rows after the ones already held."""
         slot = self.slot
         offsets = range(0, slot * BLOCK, slot)
-        tail = self.tail + rows
+        tail = [*self.tail, *rows]
         full = len(tail) - len(tail) % BLOCK
         if full:
             if not self.blocks:
@@ -251,10 +281,12 @@ class MonomialIdeal:
     the ``_Layout`` they were packed with; an operation whose layout has
     that width reuses them.  The exponent tuples in ``_rows`` and the
     largest exponent are worked out on first use and kept; the generators
-    and the hash are built from ``_rows`` on each read.
+    and the hash are built from ``_rows`` on each read.  ``_pure`` marks an
+    ideal that ``_pure_powers`` built, which ``intersect`` meets without an
+    index.
     """
 
-    __slots__ = ("_ambient", "_position", "_packed", "_layout", "_tuples", "_max")
+    __slots__ = ("_ambient", "_position", "_packed", "_layout", "_tuples", "_max", "_pure")
 
     def __init__(
         self,
@@ -282,8 +314,10 @@ class MonomialIdeal:
 
         The ambient names are distinct and the exponents positive; each
         generator is packed as its one field, with no exponent row.  Powers
-        of distinct variables never divide one another, so minimalization
-        keeps them all and their largest exponent is the ideal's.
+        of distinct variables never divide one another, so all are
+        generators, sorted graded-lex by one sort, and their largest
+        exponent is the ideal's.  The ideal is marked pure, which sends its
+        intersections down ``_meet_pure``.
         """
         top = max(powers.values(), default=0)
         layout = _Layout(len(ambient), top)
@@ -291,8 +325,9 @@ class MonomialIdeal:
         ideal = cls.__new__(cls)
         ideal._ambient = ambient
         ideal._position = {v: i for i, v in enumerate(ambient)}
-        ideal._keep(layout, layout.minimal({e << shifts[i] for i, e in powers.items()}))
+        ideal._keep(layout, layout.sort([e << shifts[i] for i, e in powers.items()]))
         ideal._max = top
+        ideal._pure = True
         return ideal
 
     @classmethod
@@ -309,13 +344,17 @@ class MonomialIdeal:
         self._layout = layout
         self._tuples: tuple[tuple[int, ...], ...] | None = None
         self._max: int | None = None
+        self._pure = False  # generated by pure powers; only _pure_powers sets it
 
-    def _minimal(self, layout: _Layout, packed: set[int]) -> MonomialIdeal:
-        """The ideal over this ambient generated by the packed rows."""
+    def _minimal(
+        self, layout: _Layout, packed: set[int], known: Sequence[int] = ()
+    ) -> MonomialIdeal:
+        """The ideal over this ambient generated by the packed rows and the
+        known generators, as ``layout.minimal`` takes them."""
         ideal = MonomialIdeal.__new__(MonomialIdeal)
         ideal._ambient = self._ambient
         ideal._position = self._position
-        ideal._keep(layout, layout.minimal(packed))
+        ideal._keep(layout, layout.minimal(packed, known))
         return ideal
 
     @property
@@ -458,11 +497,17 @@ class MonomialIdeal:
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         """Intersection of two monomial ideals, generated by pairwise lcms.
 
-        A generator of one side that already lies in the other side is a
-        generator of the intersection, and every lcm it takes part in is
-        its multiple, so only the remaining generators are paired.
+        When either side was built by ``_pure_powers`` the intersection is
+        ``_meet_pure``'s.  Otherwise a generator of one side that already
+        lies in the other side is a generator of the intersection, and every
+        lcm it takes part in is its multiple, so only the remaining
+        generators are paired.
         """
         self._require_same_ambient(other)
+        if other._pure:
+            return self._meet_pure(other)
+        if self._pure:
+            return other._meet_pure(self)
         layout = _Layout(len(self._ambient), max(self._maxexp(), other._maxexp()))
         guard, vbits = layout.guard, layout.vbits
         mine = self._pack(layout)
@@ -489,6 +534,33 @@ class MonomialIdeal:
                 m = t - (t >> vbits)  # ... widened to value-bit masks
                 out.add((x & m) | (y & ~m))
         return self._minimal(layout, out)
+
+    def _meet_pure(self, pure: MonomialIdeal) -> MonomialIdeal:
+        """Intersection with an ideal built by ``_pure_powers``, with no index.
+
+        A row lies in the pure ideal iff one of its fields reaches that
+        field's power, and a row outside it meets each power x_i^a_i in the
+        row with field i raised to a_i.  Rows inside are generators of the
+        intersection as they are; only the raised rows are minimalized.
+        """
+        layout = _Layout(len(self._ambient), max(self._maxexp(), pure._maxexp()))
+        guard, width = layout.guard, layout.vbits + 1
+        powers = pure._pack(layout)
+        total = sum(powers)  # every power in its own field
+        # the guard bits of the fields that hold a power
+        fields = ((total | guard) - (guard >> layout.vbits)) & guard
+        # each power, with a mask that clears its field
+        raise_to = [
+            (~(layout.mask << (c.bit_length() - 1) // width * width), c) for c in powers
+        ]
+        direct: list[int] = []
+        raised: set[int] = set()
+        for x in self._pack(layout):
+            if ((x | guard) - total) & fields:
+                direct.append(x)
+            else:
+                raised.update([x & clear | c for clear, c in raise_to])
+        return self._minimal(layout, raised, direct)
 
     def saturate(self, variables: Iterable[str]) -> MonomialIdeal:
         """Saturation with respect to the product of the given variables.

@@ -83,14 +83,19 @@ def brute_force_vertex_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
     return found
 
 
-def brute_force_strong_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
-    """Filter all vertex subsets by the strong-cover definition, literally."""
-    vs = list(g.vertices)
-    out = {v: set() for v in vs}
-    inc = {v: set() for v in vs}
+def reference_adjacency(g: WeightedOrientedGraph) -> tuple[dict, dict]:
+    """Out- and in-neighbour sets of every vertex, read off the raw edge list."""
+    out = {v: set() for v in g.vertices}
+    inc = {v: set() for v in g.vertices}
     for tail, head in g.edges:
         out[tail].add(head)
         inc[head].add(tail)
+    return out, inc
+
+
+def brute_force_strong_covers(g: WeightedOrientedGraph) -> list[frozenset[str]]:
+    """Filter all vertex subsets by the strong-cover definition, literally."""
+    out, inc = reference_adjacency(g)
     weights = g.weights
 
     found = []
@@ -129,8 +134,9 @@ class ReferencePartition:
         """Every L3 vertex has an in-neighbor of weight >= 2 in L2 or L3."""
         feeders = self.cover - self.l1
         weights = g.weights
+        inc = reference_adjacency(g)[1]
         return all(
-            any(u in feeders and weights[u] >= 2 for u in g.in_neighbors(v))
+            any(u in feeders and weights[u] >= 2 for u in inc[v])
             for v in self.l3
         )
 
@@ -149,11 +155,12 @@ def reference_cover_partition(g: WeightedOrientedGraph, cover) -> ReferenceParti
     cover = frozenset(cover)
     if not reference_is_vertex_cover(g, cover):
         raise ValueError(f"{sorted(cover)} is not a vertex cover")
+    out, inc = reference_adjacency(g)
     l1, l2, l3 = set(), set(), set()
     for v in cover:
-        if not g.out_neighbors(v) <= cover:
+        if not out[v] <= cover:
             l1.add(v)
-        elif not g.in_neighbors(v) <= cover:
+        elif not inc[v] <= cover:
             l2.add(v)
         else:
             l3.add(v)

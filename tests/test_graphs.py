@@ -34,12 +34,9 @@ def test_cycle_shape():
 
 def test_neighborhoods():
     g = oriented_line(3, (1, 1, 1))
-    assert g.out_neighbors("x1") == {"x2"}
-    assert g.in_neighbors("x1") == frozenset()
-    assert g.in_neighbors("x2") == {"x1"}
     assert g.neighbors("x2") == {"x1", "x3"}
     with pytest.raises(ValueError):
-        g.out_neighbors("y")
+        g.neighbors("y")
 
 
 def test_isolated_vertices_are_neither_source_nor_sink():
@@ -155,11 +152,6 @@ def test_induced_subgraph():
     assert h.edges == (("x1", "x2"),)
     assert h.weights == {"x1": 1, "x2": 2, "x4": 1}
     assert g.induced_subgraph(g.vertices) == g
-
-
-def test_underlying_edges_forget_orientation():
-    g = WeightedOrientedGraph(("a", "b", "c"), [("b", "a"), ("b", "c")])
-    assert g.underlying_edges() == (("a", "b"), ("b", "c"))
 
 
 def test_rooted_tree_matches_line():

@@ -24,6 +24,8 @@ from oriented_ideals import (
     random_graph,
 )
 
+from oriented_ideals import monomials
+
 from conftest import assert_irredundant, gens, reference_component_ideal, small_graphs
 
 
@@ -237,6 +239,25 @@ def test_identity_fold_stays_small(monkeypatch):
     assert decomposition_intersection(comps, g) == edge_ideal(g)
     assert len(sizes) == len(comps) - 1
     assert max(sizes) <= 21
+
+
+def test_identity_fold_meets_components_without_divisor_indexes(monkeypatch):
+    # each step meets a pure-power component by its powers alone; the one
+    # divisor index left per step is the one minimalization builds for the
+    # raised rows
+    g = oriented_cycle(10, (2,) * 10)
+    comps = irreducible_decomposition(g)
+    expected = edge_ideal(g)
+    built = []
+
+    class CountedDivisors(monomials._Divisors):
+        def __init__(self, layout, rows):
+            built.append(len(rows))
+            super().__init__(layout, rows)
+
+    monkeypatch.setattr(monomials, "_Divisors", CountedDivisors)
+    assert decomposition_intersection(comps, g) == expected
+    assert 0 < len(built) <= len(comps) - 1
 
 
 def test_components_share_ambient():

@@ -19,9 +19,15 @@ from conftest import (
     reference_product,
     row_divides,
 )
-from oriented_ideals import MonomialIdeal, intersect_all
+from oriented_ideals import (
+    MonomialIdeal,
+    WeightedOrientedGraph,
+    intersect_all,
+    irreducible_component,
+)
 from oriented_ideals.monomials import _check_name
 
+X4 = ("x1", "x2", "x3", "x4")
 X5 = ("x1", "x2", "x3", "x4", "x5")
 
 
@@ -119,6 +125,13 @@ def test_parse_round_trip():
     assert ideal(" x1 * x3^2 ").generators == ("x1*x3^2",)
     with pytest.raises(ValueError):
         ideal("x1^0")
+    # the formatter writes no leading zero, so a string with one would not
+    # read back as itself
+    for text in ("x1^02", "x1^00001"):
+        with pytest.raises(ValueError, match="leading zero"):
+            ideal(text)
+        with pytest.raises(ValueError, match="leading zero"):
+            ideal("x1").contains(text)
     with pytest.raises(ValueError):
         ideal("x1*x1")
     with pytest.raises(ValueError):
@@ -579,6 +592,101 @@ def test_products_and_intersections_build_no_rows_until_read(case):
         assert result._tuples is rows
 
 
+# --- intersections with pure-power ideals -----------------------------------
+#
+# An ideal built by _pure_powers, as every component ideal is, is marked and
+# met without a divisor index; the same generators given as strings build an
+# unmarked ideal, which takes the general path.  Both must give the tuple
+# reference, on either side of the intersection.
+
+
+def power_rows(n, powers):
+    """The exponent row of x_i^e for each position i and exponent e."""
+    return [tuple(e if j == i else 0 for j in range(n)) for i, e in powers.items()]
+
+
+def check_pure_meet(ambient, rows, powers, more_powers=None):
+    r = from_rows(ambient, rows)
+    c = MonomialIdeal._pure_powers(ambient, powers)
+    plain = MonomialIdeal(ambient, c.generators)
+    assert c._pure and not plain._pure and not r._pure
+    assert c == plain
+    assert c._rows == reference_minimal_rows(power_rows(len(ambient), powers))
+    expected = reference_intersection(reference_minimal_rows(rows), c._rows)
+    general = r.intersect(plain)
+    assert general._rows == expected
+    for meet in (r.intersect(c), c.intersect(r)):
+        assert not meet._pure
+        assert meet._rows == expected
+        assert meet == general
+    if more_powers is not None:
+        d = MonomialIdeal._pure_powers(ambient, more_powers)
+        both = reference_intersection(c._rows, d._rows)
+        assert c.intersect(d)._rows == both == d.intersect(c)._rows
+        assert intersect_all([c, d, r])._rows == reference_intersection(both, r._rows)
+
+
+@st.composite
+def rows_and_powers(draw):
+    """Rows over 0 to 5 variables, and two pure-power maps over them.
+
+    The rows and each map draw exponents up to 2 or up to 9, so the two
+    sides of a meet are often packed at different widths.
+    """
+    n = draw(st.integers(0, 5))
+    ambient = tuple(f"x{i}" for i in range(1, n + 1))
+    top = draw(st.sampled_from((2, 9)))
+    rows = draw(st.one_of(
+        st.just([]),
+        st.just([(0,) * n]),
+        st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1, max_size=6),
+    ))
+
+    def powers():
+        positions = st.integers(0, n - 1) if n else st.nothing()
+        top = draw(st.sampled_from((2, 9)))
+        return draw(st.dictionaries(positions, st.integers(1, top), max_size=n))
+
+    return ambient, rows, powers(), powers()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_and_powers())
+def test_pure_power_meet_matches_tuple_reference(case):
+    check_pure_meet(*case)
+
+
+def test_pure_power_meet_with_zero_and_unit_ideals():
+    for rows in ([], [(0, 0, 0)]):
+        check_pure_meet(X5[:3], rows, {0: 2, 2: 1}, {1: 3})
+    # the unit ideal meets C in C
+    c = MonomialIdeal._pure_powers(X5, {0: 2, 3: 1})
+    assert MonomialIdeal.unit(X5).intersect(c) == c == c.intersect(MonomialIdeal.unit(X5))
+    assert MonomialIdeal.zero(X5).intersect(c).is_zero
+
+
+def test_pure_power_meet_with_the_empty_cover_component():
+    # an edgeless graph's empty cover is strong, and its component ideal is
+    # the zero ideal, built by _pure_powers with no powers
+    g = WeightedOrientedGraph(("a", "b", "c"), [])
+    zero = irreducible_component(g, ()).ideal
+    assert zero._pure and zero.is_zero
+    check_pure_meet(g.vertices, [(1, 0, 2), (0, 3, 0)], {}, {1: 2})
+    r = MonomialIdeal(g.vertices, ["a*c^2", "b^3"])
+    assert r.intersect(zero).is_zero and zero.intersect(r).is_zero
+    assert zero.intersect(zero).is_zero
+
+
+@pytest.mark.parametrize("row_top, power_top", ((9, 2), (2, 9)))
+def test_pure_power_meet_across_widths(row_top, power_top):
+    rows = [(row_top, 1, 0, 0), (0, row_top, 2, 0), (1, 0, 0, row_top), (2, 2, 2, 2)]
+    powers = {0: power_top, 2: 1, 3: 2}
+    r = from_rows(X4, rows)
+    c = MonomialIdeal._pure_powers(X4, powers)
+    assert r._layout.vbits != c._layout.vbits
+    check_pure_meet(X4, rows, powers, {1: row_top})
+
+
 # --- divisor search across block boundaries --------------------------------
 #
 # The divisor search packs each complete run of 64 kept rows into one block
@@ -586,8 +694,6 @@ def test_products_and_intersections_build_no_rows_until_read(case):
 # 63, 64, 65, 128, 129 and 165 rows of several degrees: a partial block alone,
 # full blocks with and without a partial one, and rows kept after a block was
 # built.
-
-X4 = ("x1", "x2", "x3", "x4")
 
 
 def antichain(level):

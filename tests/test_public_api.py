@@ -96,17 +96,14 @@ PARAMETERS = {
     "RegressionSummary.to_json": (),
     "WeightedOrientedGraph.__init__": ("vertices", "edges", "weights"),
     "WeightedOrientedGraph.from_json": ("data",),
-    "WeightedOrientedGraph.in_neighbors": ("v",),
     "WeightedOrientedGraph.induced_subgraph": ("keep",),
     "WeightedOrientedGraph.is_isolated": ("v",),
     "WeightedOrientedGraph.neighbors": ("v",),
-    "WeightedOrientedGraph.out_neighbors": ("v",),
     "WeightedOrientedGraph.position": ("v",),
     "WeightedOrientedGraph.sinks": (),
     "WeightedOrientedGraph.sort_vertices": ("vs",),
     "WeightedOrientedGraph.sources": (),
     "WeightedOrientedGraph.to_json": (),
-    "WeightedOrientedGraph.underlying_edges": (),
     "WeightedOrientedGraph.weight": ("v",),
     "check_broom_equality": ("tree", "root", "w_y", "w_z", "s_max"),
     "check_cycle_equality": ("weights", "s_max"),
