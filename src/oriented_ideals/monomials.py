@@ -23,18 +23,20 @@ that made it left them, with the layout that packed them, so an operation
 whose own layout has the same ``vbits`` packs nothing again.  Rows are
 unpacked to tuples only when something reads them: the generator
 strings, the hash, equality of ideals packed at different widths, and
-packing at another width.  The largest exponent is read from the lcm of
-all rows, which is folded packed as below and is the one row unpacked.
-Only the unpacked rows and the largest exponent are kept once worked out;
-the generators, as strings in ambient order, and the hash are built on
-each read, and str and repr of an ideal read those strings.
+packing at another width.  Only the unpacked rows are kept once worked
+out; the generators, as strings in ambient order, and the hash are built
+on each read, and str and repr of an ideal read those strings.
 
-W is worked out per operation, never set: ``vbits`` is the bit length of
-n * e, where n is the ambient size and e the largest exponent the result
-can hold (the operands' largest exponent, or the sum of both operands'
-largest exponents for a product).  So a field never overflows, packed
-addition is exponent addition, and the sum of all fields, which is the
-total degree, is below 2**W - 1.  Since 2**W is 1 modulo 2**W - 1, the
+W is worked out per layout, never set: ``vbits`` is the bit length of
+n * e, where n is the ambient size and e the layout's ``maxexp``, a bound
+on every exponent it packs.  That bound is the one record of an ideal's
+exponents, and each operation takes it from what it already knows: the
+largest exponent of the given strings or powers when an ideal is built,
+the sum of both operands' bounds for a product, and otherwise the larger
+operand bound, whose layout the result then shares.  So a field never
+overflows, packed addition is exponent addition, and the sum of all
+fields, which is the total degree, is below 2**W - 1.  The rows and their
+order do not depend on W.  Since 2**W is 1 modulo 2**W - 1, the
 degree of a packed row x is ``x % (2**W - 1)``, and the graded-lex order
 is the order of ``(x % (2**W - 1), -x)``.
 
@@ -140,11 +142,12 @@ def _format(ambient: Sequence[str], row: Iterable[int]) -> str:
 class _Layout:
     """Packing of n-variable rows whose exponents are at most maxexp."""
 
-    __slots__ = ("vbits", "shifts", "guard", "mask", "modulus", "bits")
+    __slots__ = ("maxexp", "vbits", "shifts", "guard", "mask", "modulus", "bits")
 
     def __init__(self, n: int, maxexp: int):
         vbits = max(n * maxexp, 1).bit_length()
         width = vbits + 1
+        self.maxexp = maxexp
         self.vbits = vbits
         self.shifts = list(range(width * (n - 1), -width, -width))
         self.mask = (1 << vbits) - 1
@@ -278,15 +281,15 @@ class MonomialIdeal:
     no generators; the unit ideal is generated by "1".
 
     An ideal stores only its packed rows, as minimalization left them, and
-    the ``_Layout`` they were packed with; an operation whose layout has
-    that width reuses them.  The exponent tuples in ``_rows`` and the
-    largest exponent are worked out on first use and kept; the generators
-    and the hash are built from ``_rows`` on each read.  ``_pure`` marks an
-    ideal that ``_pure_powers`` built, which ``intersect`` meets without an
-    index.
+    the ``_Layout`` they were packed with, whose ``maxexp`` bounds every
+    exponent; an operation whose layout has that width reuses them.  The
+    exponent tuples in ``_rows`` are worked out on first use and kept; the
+    generators and the hash are built from ``_rows`` on each read.
+    ``_pure`` marks an ideal that ``_pure_powers`` built, which
+    ``intersect`` meets without an index.
     """
 
-    __slots__ = ("_ambient", "_position", "_packed", "_layout", "_tuples", "_max", "_pure")
+    __slots__ = ("_ambient", "_position", "_packed", "_layout", "_tuples", "_pure")
 
     def __init__(
         self,
@@ -315,18 +318,16 @@ class MonomialIdeal:
         The ambient names are distinct and the exponents positive; each
         generator is packed as its one field, with no exponent row.  Powers
         of distinct variables never divide one another, so all are
-        generators, sorted graded-lex by one sort, and their largest
-        exponent is the ideal's.  The ideal is marked pure, which sends its
+        generators, sorted graded-lex by one sort, and the largest power is
+        the layout's bound.  The ideal is marked pure, which sends its
         intersections down ``_meet_pure``.
         """
-        top = max(powers.values(), default=0)
-        layout = _Layout(len(ambient), top)
+        layout = _Layout(len(ambient), max(powers.values(), default=0))
         shifts = layout.shifts
         ideal = cls.__new__(cls)
         ideal._ambient = ambient
         ideal._position = {v: i for i, v in enumerate(ambient)}
         ideal._keep(layout, layout.sort([e << shifts[i] for i, e in powers.items()]))
-        ideal._max = top
         ideal._pure = True
         return ideal
 
@@ -343,7 +344,6 @@ class MonomialIdeal:
         self._packed = kept  # never changed in place
         self._layout = layout
         self._tuples: tuple[tuple[int, ...], ...] | None = None
-        self._max: int | None = None
         self._pure = False  # generated by pure powers; only _pure_powers sets it
 
     def _minimal(
@@ -364,22 +364,10 @@ class MonomialIdeal:
             self._tuples = tuple(map(self._layout.unpack, self._packed))
         return self._tuples
 
-    def _maxexp(self) -> int:
-        """The largest exponent of any generator, worked out on first use.
-
-        It is the largest field of the lcm of all packed rows, which is
-        folded as in ``intersect`` and unpacked alone.
-        """
-        if self._max is None:
-            layout = self._layout
-            guard, vbits = layout.guard, layout.vbits
-            lcm = 0
-            for x in self._packed:
-                t = ((x | guard) - lcm) & guard  # guard bits where x's field >= lcm's
-                m = t - (t >> vbits)
-                lcm = (x & m) | (lcm & ~m)
-            self._max = max(layout.unpack(lcm), default=0)
-        return self._max
+    def _wider(self, other: MonomialIdeal) -> _Layout:
+        """The layout of self or other with the larger bound, which packs both."""
+        mine, theirs = self._layout, other._layout
+        return mine if mine.maxexp >= theirs.maxexp else theirs
 
     def _pack(self, layout: _Layout) -> list[int]:
         """The rows packed by layout; the kept packing when its width matches."""
@@ -430,7 +418,7 @@ class MonomialIdeal:
 
     def _first_outside(self, other: MonomialIdeal) -> int | None:
         """Index of the first generator of other that self does not contain, if any."""
-        layout = _Layout(len(self._ambient), max(self._maxexp(), other._maxexp()))
+        layout = self._wider(other)
         divides = _Divisors(layout, self._pack(layout)).divides
         for i, x in enumerate(other._pack(layout)):
             if not divides(x):
@@ -440,10 +428,11 @@ class MonomialIdeal:
     def contains(self, m: str) -> bool:
         """Membership: some generator divides the monomial string m."""
         exps = _parse(m)
-        # variables outside the ambient cannot matter: no generator uses them
-        row = [exps.get(v, 0) for v in self._ambient]
-        layout = _Layout(len(row), max(self._maxexp(), max(row, default=0)))
-        return _Divisors(layout, self._pack(layout)).divides(layout.pack([row])[0])
+        layout = self._layout
+        # variables outside the ambient cannot matter: no generator uses them;
+        # nor can an exponent above the bound, so m is packed cut to it
+        row = [min(exps.get(v, 0), layout.maxexp) for v in self._ambient]
+        return _Divisors(layout, self._packed).divides(layout.pack([row])[0])
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
         """True iff other is a subideal of self."""
@@ -471,15 +460,15 @@ class MonomialIdeal:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
         self._require_same_ambient(other)
-        layout = _Layout(len(self._ambient), max(self._maxexp(), other._maxexp()))
+        layout = self._wider(other)
         return self._minimal(layout, {*self._pack(layout), *other._pack(layout)})
 
     def __mul__(self, other: MonomialIdeal) -> MonomialIdeal:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
         self._require_same_ambient(other)
-        # fields must hold the sum of the largest exponents on each side
-        layout = _Layout(len(self._ambient), self._maxexp() + other._maxexp())
+        # fields must hold the sum of the bounds on each side
+        layout = _Layout(len(self._ambient), self._layout.maxexp + other._layout.maxexp)
         theirs = other._pack(layout)
         return self._minimal(layout, {x + y for x in self._pack(layout) for y in theirs})
 
@@ -508,7 +497,7 @@ class MonomialIdeal:
             return self._meet_pure(other)
         if self._pure:
             return other._meet_pure(self)
-        layout = _Layout(len(self._ambient), max(self._maxexp(), other._maxexp()))
+        layout = self._wider(other)
         guard, vbits = layout.guard, layout.vbits
         mine = self._pack(layout)
         theirs = other._pack(layout)
@@ -543,7 +532,7 @@ class MonomialIdeal:
         row with field i raised to a_i.  Rows inside are generators of the
         intersection as they are; only the raised rows are minimalized.
         """
-        layout = _Layout(len(self._ambient), max(self._maxexp(), pure._maxexp()))
+        layout = self._wider(pure)
         guard, width = layout.guard, layout.vbits + 1
         powers = pure._pack(layout)
         total = sum(powers)  # every power in its own field
@@ -575,11 +564,11 @@ class MonomialIdeal:
             if v not in self._position:
                 raise ValueError(f"{v!r} is not an ambient variable")
             idx.add(self._position[v])
-        layout = _Layout(len(self._ambient), self._maxexp())
+        layout = self._layout
         keep = sum(
             layout.mask << s for i, s in enumerate(layout.shifts) if i not in idx
         )
-        return self._minimal(layout, {x & keep for x in self._pack(layout)})
+        return self._minimal(layout, {x & keep for x in self._packed})
 
     def with_ambient(self, ambient: Sequence[str]) -> MonomialIdeal:
         """The same generators viewed in a different ambient ring."""

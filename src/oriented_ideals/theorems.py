@@ -271,10 +271,16 @@ def check_line_cubic_witness(weights: Sequence[int], i: int) -> CheckResult:
 
         x_(i-1) * x_i^w(x_i) * x_(i+1)^2 * x_(i+2)^w(x_(i+2))
 
-    lies in the third symbolic power but not in I^3.
+    lies in the third symbolic power but not in I^3.  A weight below 1 or
+    an i that is not an int raises ValueError; an int i that is not
+    interior is a skip.
     """
     name = "line_cubic_witness"
     weights = tuple(weights)
+    for w in weights:
+        _require_positive("weight", w)
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise ValueError(f"i must be an integer, got {i!r}")
     n = len(weights)
     instance = f"line weights={weights}, i={i}"
     if not 1 < i < n - 1:

@@ -260,6 +260,28 @@ def test_identity_fold_meets_components_without_divisor_indexes(monkeypatch):
     assert 0 < len(built) <= len(comps) - 1
 
 
+def test_identity_fold_builds_no_layouts(monkeypatch):
+    # each step packs at the wider operand's layout and the result shares
+    # it, so once the component ideals are read the fold builds no layout
+    g = oriented_cycle(10, (2,) * 10)
+    comps = irreducible_decomposition(g)
+    for comp in comps:
+        comp.ideal
+    expected = edge_ideal(g)
+    built = []
+
+    class CountedLayout(monomials._Layout):
+        __slots__ = ()
+
+        def __init__(self, n, maxexp):
+            built.append(maxexp)
+            super().__init__(n, maxexp)
+
+    monkeypatch.setattr(monomials, "_Layout", CountedLayout)
+    assert decomposition_intersection(comps, g) == expected
+    assert built == []
+
+
 def test_components_share_ambient():
     comps = irreducible_decomposition(LINE3)
     assert all(c.ideal.ambient == LINE3.vertices for c in comps)
@@ -285,12 +307,12 @@ def test_component_ideal_read_matches_monomial_construction(g):
         assert comp.ideal.generator_strings() == reference.generator_strings()
 
 
-def test_component_ideal_records_its_largest_exponent():
+def test_component_ideal_bound_is_its_largest_power():
+    # every power is a generator, so the bound the layout was built with is exact
     for g in component_reference_graphs():
         for comp in irreducible_decomposition(g):
             ideal = comp.ideal
-            assert ideal._max is not None  # set when built, with no lcm fold
-            assert ideal._maxexp() == max(chain.from_iterable(ideal._rows), default=0)
+            assert ideal._layout.maxexp == max(chain.from_iterable(ideal._rows), default=0)
 
 
 def test_components_from_rows_match_monomial_construction():

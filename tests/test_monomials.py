@@ -295,6 +295,10 @@ def test_contains_monomial():
     assert not ideal("x2^3").contains("x1*x2^2")
     assert not ideal("x3").contains("x1*x2^2")
     assert ideal("x1*x2^2").contains("x1*x2^2")
+    # exponents far above every generator's are read at the ideal's own width
+    assert a.contains(f"x1^{2**70}*x2^{2**70}")
+    assert not a.contains(f"x1^{2**70}*x3^{2**70}")
+    assert not MonomialIdeal.zero(X5).contains(f"x1^{2**70}")
 
 
 def test_with_ambient():
@@ -517,7 +521,7 @@ def test_equal_generator_counts_with_other_rows_are_unequal(case, shift):
     for b in (reversed_vars, times):
         assert b.num_generators == a.num_generators
         assert (a == b) == (b == a) == (a._rows == b._rows)
-    if shift and a._maxexp():
+    if shift and max(chain.from_iterable(a._rows), default=0):
         assert times._layout.vbits != a._layout.vbits
         assert a != times
 
@@ -568,14 +572,31 @@ def test_generator_strings_of_zero_unit_and_named_ideals():
         assert_strings_match_reference(ideal_)
 
 
+def assert_bound_covers_rows(ideal: MonomialIdeal) -> None:
+    """The layout's bound holds every exponent, and n fields of it fit vbits."""
+    layout = ideal._layout
+    assert max(chain.from_iterable(ideal._rows), default=0) <= layout.maxexp
+    assert len(ideal.ambient) * layout.maxexp < 2**layout.vbits
+
+
 @settings(max_examples=200, deadline=None)
 @given(ambient_and_rows(), st.data())
-def test_largest_exponent_is_exact(case, data):
+def test_exponent_bound_follows_each_operation(case, data):
     ambient, a_rows, b_rows = case
     a, b = from_rows(ambient, a_rows), from_rows(ambient, b_rows)
+    # built from strings, the bound is the largest exponent written, even in
+    # a row that minimalization drops
+    for ideal_, rows in ((a, a_rows), (b, b_rows)):
+        assert ideal_._layout.maxexp == max(chain.from_iterable(rows), default=0)
+    bound_a, bound_b = a._layout.maxexp, b._layout.maxexp
     dropped = data.draw(st.sets(st.sampled_from(ambient)) if ambient else st.just(set()))
-    for result in (a * b, a.intersect(b), a + b, a.saturate(dropped)):
-        assert result._maxexp() == max(chain.from_iterable(result._rows), default=0)
+    product, meet, total = a * b, a.intersect(b), a + b
+    assert product._layout.maxexp == bound_a + bound_b
+    # the larger bound's layout is shared, not built again
+    assert meet._layout is total._layout is (a if bound_a >= bound_b else b)._layout
+    assert a.saturate(dropped)._layout is a._layout
+    for result in (a, b, product, meet, total, a.saturate(dropped)):
+        assert_bound_covers_rows(result)
 
 
 @settings(max_examples=100, deadline=None)
@@ -585,7 +606,7 @@ def test_products_and_intersections_build_no_rows_until_read(case):
     a, b = from_rows(ambient, a_rows), from_rows(ambient, b_rows)
     for op in (a.__mul__, a.intersect):
         result = op(b)
-        result.num_generators, result.is_zero, result.is_unit, result._maxexp()
+        result.num_generators, result.is_zero, result.is_unit
         assert result == op(b)  # the same width, so the packed rows are compared
         assert result._tuples is None
         rows = result._rows
@@ -612,6 +633,9 @@ def check_pure_meet(ambient, rows, powers, more_powers=None):
     assert c._pure and not plain._pure and not r._pure
     assert c == plain
     assert c._rows == reference_minimal_rows(power_rows(len(ambient), powers))
+    # the largest power bounds the pure ideal, and a meet takes the larger bound
+    assert c._layout.maxexp == max(powers.values(), default=0)
+    bound = max(r._layout.maxexp, c._layout.maxexp)
     expected = reference_intersection(reference_minimal_rows(rows), c._rows)
     general = r.intersect(plain)
     assert general._rows == expected
@@ -619,10 +643,13 @@ def check_pure_meet(ambient, rows, powers, more_powers=None):
         assert not meet._pure
         assert meet._rows == expected
         assert meet == general
+        assert meet._layout.maxexp == bound
+        assert_bound_covers_rows(meet)
     if more_powers is not None:
         d = MonomialIdeal._pure_powers(ambient, more_powers)
         both = reference_intersection(c._rows, d._rows)
         assert c.intersect(d)._rows == both == d.intersect(c)._rows
+        assert c.intersect(d)._layout.maxexp == max(c._layout.maxexp, d._layout.maxexp)
         assert intersect_all([c, d, r])._rows == reference_intersection(both, r._rows)
 
 

@@ -354,3 +354,48 @@ def test_unit_weight_cycles_past_the_cube(n, first):
     # every graph on 2-5 vertices above
     g = oriented_cycle(n, (1,) * n)
     assert compare_powers(g, 4).first_inequality == first
+
+
+# --- the binomial expansion over a disjoint union ----------------------------
+#
+# For ideals I and J in disjoint sets of variables,
+#     (I + J)^(s) = sum over i = 0..s of I^(i) * J^(s-i),  with I^(0) = (1)
+# (Hà-Nguyen-Trung-Trung, 2020).  Both symbolic routes must obey it on
+# G ⊔ H; the check adds ideals packed at different widths and multiplies them.
+
+
+def disjoint_union(g: WeightedOrientedGraph, h: WeightedOrientedGraph):
+    """G ⊔ H, with H's vertices renamed y1..yk, and the renamed H."""
+    names = {v: f"y{i}" for i, v in enumerate(h.vertices, 1)}
+    h = WeightedOrientedGraph(
+        [names[v] for v in h.vertices],
+        [(names[t], names[u]) for t, u in h.edges],
+        {names[v]: w for v, w in h.weights.items()},
+    )
+    union = WeightedOrientedGraph(
+        g.vertices + h.vertices, g.edges + h.edges, {**g.weights, **h.weights}
+    )
+    return union, h
+
+
+def binomial_expansion(power, g, h, union, s) -> MonomialIdeal:
+    """Σ_{i=0..s} I(G)^(i) · I(H)^(s-i) over the union's variables."""
+    ambient = union.vertices
+
+    def lifted(graph, k):
+        if k == 0:
+            return MonomialIdeal.unit(ambient)
+        return power(graph, k).with_ambient(ambient)
+
+    total = MonomialIdeal.zero(ambient)
+    for i in range(s + 1):
+        total = total + lifted(g, i) * lifted(h, s - i)
+    return total
+
+
+@given(small_graphs(5), small_graphs(5), st.integers(min_value=1, max_value=3))
+@settings(max_examples=80, deadline=None)
+def test_symbolic_power_of_a_disjoint_union_is_the_binomial_sum(g, h, s):
+    union, h = disjoint_union(g, h)
+    for power in (symbolic_power, symbolic_power_oracle):
+        assert power(union, s) == binomial_expansion(power, g, h, union, s), power

@@ -251,6 +251,16 @@ def test_cubic_witness_skips():
     assert check_line_cubic_witness((1, 2, 2, 1, 1), 2).status == "skip"
 
 
+def test_cubic_witness_rejects_bad_weights_and_positions():
+    # a zero weight is no weighting, so it may not read as an unmet hypothesis
+    for weights in ((1, 3, 0, 1, 1), (1, 0, 1, 1, 1)):
+        with pytest.raises(ValueError, match="weight must be an integer >= 1"):
+            check_line_cubic_witness(weights, 2)
+    for i in (2.0, True):
+        with pytest.raises(ValueError, match="i must be an integer"):
+            check_line_cubic_witness((1, 2, 1, 1, 1), i)
+
+
 def test_line_drop_cases():
     assert line_drop((1, 2, 1, 1, 1)) == 2
     assert line_drop((1, 1, 2, 1, 2, 2, 1)) == 3
