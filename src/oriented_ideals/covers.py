@@ -12,10 +12,13 @@ they are always strong, and with every weight 1 they are the only ones.
 
 Every test here works on bitmasks.  Each graph carries one table of
 per-vertex bits and neighbor, in-neighbor and heavy-vertex masks, built
-on the first cover call and kept on the graph, like its adjacency.  A
+on the first cover call and kept on the graph, like its adjacency.  The
+table also holds, per 6 bits of a mask, the names those bits stand for
+and the unions of their neighbors, in-neighbors and out-neighbors, so a
+union over the vertices outside C takes one lookup per 6 vertices.  A
 public call turns its set of names into a mask once; the layers are then
-unions of masks over the vertices outside C, and a ``CoverPartition``
-keeps them as masks, building its sets of names only when they are read.
+such unions, and a ``CoverPartition`` keeps them as masks, building its
+sets of names only when they are read.
 
 Enumeration is one output-sensitive walk: the vertex covers are the
 complements of the independent sets, which a depth-first walk over
@@ -26,9 +29,16 @@ The scan for maximal strong covers also stops below each strong cover,
 since every cover in that subtree lies inside it, and the minimal covers
 are the strong covers of a unit-weight copy of the graph.  So each scan
 costs what the walk cannot rule out, and every cover it visits goes
-through the one strong-cover test, ``is_strong_cover``.  The walk is
-guarded by a cap on the vertex count, since a graph can still have
-exponentially many covers.  The cap is 20 vertices unless the
+through the one strong-cover test, ``is_strong_cover``, which tests it
+as ``is_vertex_cover`` and splits it with ``cover_partition``.  Those
+public calls take sets of names, and the walk holds masks, so the table
+remembers the one set it built last with its mask: the walk's set goes
+back to its mask by an identity check, not name by name.  The walk stays
+on the public chain so that it and its callers share one strength test,
+and so that whatever wraps ``is_strong_cover`` by name, as the perfbench
+tracer does, sees every cover the walk visits.  The walk is guarded by
+a cap on the vertex count, since a graph can still have exponentially
+many covers.  The cap is 20 vertices unless the
 ``ORIENTED_IDEAL_CAP`` environment variable sets it; that variable is the
 only setting, for the library and the CLI alike.
 """
@@ -43,7 +53,7 @@ from .graphs import WeightedOrientedGraph
 DEFAULT_ENUMERATION_CAP = 20
 CAP_ENV_VAR = "ORIENTED_IDEAL_CAP"
 
-_CHUNK = 6  # bits per lookup when a mask is turned back into names
+_CHUNK = 6  # bits per lookup in a mask table's chunk tables
 _CHUNK_MASK = (1 << _CHUNK) - 1
 
 
@@ -83,13 +93,28 @@ class _CoverMasks:
 
     The first vertex takes the most significant bit, so among covers of
     one size the larger mask comes first in the position order.  ``nbr``,
-    ``into`` and ``bits`` are indexed by position, ``heavy`` is the mask
-    of the vertices of weight at least 2, and ``chunks`` turns a mask back
-    into names a few bits per lookup: entry k maps the value of bits
-    6k to 6k + 5 to the names those bits stand for.
+    ``into`` and ``bits`` are indexed by position, and ``heavy`` is the
+    mask of the vertices of weight at least 2.  ``chunks`` and ``links``
+    are read 6 bits of a mask at a time: entry k of each maps the value of
+    bits 6k to 6k + 5 to what those bits stand for.  In ``chunks`` that is
+    their names.  In ``links`` it is the union of their neighbors, with the
+    union of their in-neighbors above bit n and of their out-neighbors
+    above bit 2n.  So a mask's names, or its neighbors, in-neighbors and
+    out-neighbors, take one lookup per 6 bits, not one per vertex.
+
+    ``names`` records the last set it built with its mask, in one slot,
+    and ``mask`` answers for that very set object without reading its
+    names.  The walk builds each visited cover with ``names`` and hands it
+    to ``is_strong_cover``, so the two conversions back to a mask in that
+    test, through ``is_vertex_cover`` and ``cover_partition``, are identity
+    checks.  Any other set, an equal copy included, is read name by name.
+    The slot holds one (set, mask) pair, written and read as one tuple, so
+    threads sharing a graph never see a set with another set's mask.
     """
 
-    __slots__ = ("n", "full", "bits", "bit", "nbr", "into", "heavy", "chunks")
+    __slots__ = (
+        "n", "full", "bits", "bit", "nbr", "into", "heavy", "chunks", "links", "_last"
+    )
 
     def __init__(self, g: WeightedOrientedGraph):
         vertices = g.vertices
@@ -100,6 +125,7 @@ class _CoverMasks:
         self.bit = dict(zip(vertices, self.bits))
         self.nbr = [0] * n
         self.into = [0] * n
+        out = [0] * n
         weights = g._weights
         self.heavy = sum(b for v, b in self.bit.items() if weights[v] >= 2)
         for t, h in g.edges:
@@ -107,17 +133,28 @@ class _CoverMasks:
             self.nbr[tail] |= self.bits[head]
             self.nbr[head] |= self.bits[tail]
             self.into[head] |= self.bits[tail]
+            out[tail] |= self.bits[head]
+        # neighbors, in-neighbors above bit n, out-neighbors above bit 2n
+        links = [self.nbr[i] | self.into[i] << n | out[i] << 2 * n for i in range(n)]
         low_first = vertices[::-1]
+        links.reverse()
         self.chunks = []
+        self.links = []
         for start in range(0, n, _CHUNK):
-            # the values with bit k set are those without it, plus name k
-            chunk = [()]
-            for v in low_first[start:start + _CHUNK]:
+            # the values with bit k set are those without it, plus vertex k
+            chunk, union = [()], [0]
+            for v, link in zip(low_first[start:start + _CHUNK], links[start:start + _CHUNK]):
                 chunk += [names + (v,) for names in chunk]
+                union += [value | link for value in union]
             self.chunks.append(chunk)
+            self.links.append(union)
+        self._last: tuple[frozenset[str], int] = (frozenset(), 0)
 
     def mask(self, cover: Iterable[str]) -> int:
         """The mask of a set of names, checked against the vertices."""
+        last = self._last
+        if cover is last[0]:
+            return last[1]
         cover = _vertex_set(cover)
         try:
             return sum(map(self.bit.__getitem__, cover))
@@ -127,21 +164,26 @@ class _CoverMasks:
     def names(self, mask: int) -> frozenset[str]:
         """The set of names a mask stands for."""
         names: list[str] = []
+        rest = mask
         for chunk in self.chunks:
-            names += chunk[mask & _CHUNK_MASK]
+            names += chunk[rest & _CHUNK_MASK]
+            rest >>= _CHUNK
+        cover = frozenset(names)
+        self._last = (cover, mask)
+        return cover
+
+    def links_of(self, mask: int) -> int:
+        """The union of the ``links`` entries of the vertices of a mask."""
+        union = 0
+        for table in self.links:
+            union |= table[mask & _CHUNK_MASK]
             mask >>= _CHUNK
-        return frozenset(names)
+        return union
 
     def is_cover(self, cover: int) -> bool:
         """True iff no vertex outside the cover has a neighbor outside it."""
-        nbr, n = self.nbr, self.n
-        outside = rest = self.full ^ cover
-        while rest:
-            low = rest & -rest
-            if nbr[n - low.bit_length()] & outside:
-                return False
-            rest ^= low
-        return True
+        outside = self.full ^ cover
+        return not self.links_of(outside) & outside
 
     def partition(self, cover: int) -> CoverPartition | None:
         r"""The layers of a cover mask, or None when it is not a cover.
@@ -149,21 +191,14 @@ class _CoverMasks:
         With S the vertices outside C, L1 = C ∩ ⋃_{u∈S} into[u] (an
         out-neighbor outside C) and L3 = C \ ⋃_{u∈S} nbr[u] (no neighbor
         outside C); L2 is the rest of C.  C is a cover iff the union of
-        the neighbors of S misses S.
+        the neighbors of S misses S.  One ``links_of`` union gives all three.
         """
-        nbr, into, n = self.nbr, self.into, self.n
-        outside = rest = self.full ^ cover
-        reach = feed = 0
-        while rest:
-            low = rest & -rest
-            u = n - low.bit_length()
-            reach |= nbr[u]
-            feed |= into[u]
-            rest ^= low
-        if reach & outside:
+        outside = self.full ^ cover
+        links = self.links_of(outside)
+        if links & outside:
             return None
-        l1 = cover & feed
-        l3 = cover & ~reach
+        l1 = cover & links >> self.n
+        l3 = cover & ~links
         return CoverPartition(self, cover, l1, cover ^ l1 ^ l3, l3)
 
     def strong_covers(
@@ -176,7 +211,8 @@ class _CoverMasks:
         neighbors and adds its in-neighbors to L1.
         Then L3 = V \ N[S] is the complement of the forbidden mask, and the
         feeders of the strength test are the heavy vertices of C \ L1.
-        Each cover the walk visits goes through ``is_strong_cover``.
+        Each cover the walk visits goes through ``is_strong_cover``, and a
+        node's children are the positions after its own that are still free.
 
         A node and its whole subtree are skipped when some L3 vertex v is
         starved: no heavy in-neighbor of v lies in C \ L1, and no position
@@ -197,13 +233,13 @@ class _CoverMasks:
         )
         n = len(bits)
         strong = []
-        stack = [(0, 0, 0, 0)]
+        # (the positions after the node's own, chosen, forbidden, l1)
+        stack = [(full, 0, 0, 0)]
         while stack:
-            i, chosen, forbidden, l1 = stack.pop()
-            later = (1 << (n - i)) - 1  # the positions i, i+1, ...
+            later, chosen, forbidden, l1 = stack.pop()
             free = later & ~forbidden
             fed_by = heavy & ~(chosen | l1)
-            passed = (full ^ forbidden) & ~later  # L3 before position i
+            passed = (full ^ forbidden) & ~later  # L3 before the next position
             while passed:
                 low = passed & -passed
                 v = n - low.bit_length()
@@ -218,12 +254,11 @@ class _CoverMasks:
                 strong.append((mask, cover))
                 if stop_at_strong:
                     continue
-            for j in range(i, n):
-                if free & bits[j]:
-                    stack.append((
-                        j + 1, chosen | bits[j], forbidden | nbr[j] | bits[j],
-                        l1 | into[j],
-                    ))
+            while free:  # highest bit first: increasing positions
+                j = n - free.bit_length()
+                b = bits[j]
+                free ^= b
+                stack.append((b - 1, chosen | b, forbidden | nbr[j] | b, l1 | into[j]))
         return strong
 
 
@@ -298,18 +333,13 @@ class CoverPartition:
         """True iff every L3 vertex has an in-neighbor of weight >= 2 in L2 or L3.
 
         The weights and in-neighbors are those of the graph the partition
-        was built on, read from its mask table.
+        was built on, read from its mask table: the feeders are the heavy
+        vertices of C outside L1, and L3 must lie among their out-neighbors.
         """
         table = self._table
         cover, l1, _, l3 = self._masks
-        feeders = table.heavy & cover & ~l1
-        into, n = table.into, table.n
-        while l3:
-            low = l3 & -l3
-            if not into[n - low.bit_length()] & feeders:
-                return False
-            l3 ^= low
-        return True
+        fed = table.links_of(table.heavy & cover & ~l1) >> 2 * table.n
+        return not l3 & ~fed
 
 
 def is_vertex_cover(g: WeightedOrientedGraph, cover: Iterable[str]) -> bool:

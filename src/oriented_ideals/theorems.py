@@ -340,10 +340,14 @@ def check_line_characterization(weights: Sequence[int]) -> CheckResult:
     """Oriented line: powers agree for every s exactly when the suffix
     condition on interior weights holds.  Tested computationally as
     equality at s = 1, 2, 3 in the positive case and inequality at s = 3
-    in the negative case (where the cubic witness lives).
+    in the negative case (where the cubic witness lives).  A weight below
+    1 raises ValueError, however short the line; fewer than two vertices
+    is a skip.
     """
     name = "line_characterization"
     weights = tuple(weights)
+    for w in weights:
+        _require_positive("weight", w)
     instance = f"line weights={weights}"
     if len(weights) < 2:
         return _skip(name, instance, "a line needs at least two vertices")

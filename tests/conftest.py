@@ -187,6 +187,20 @@ def brute_force_minimal_vertex_covers(g: WeightedOrientedGraph) -> list[frozense
     return [c for c in covers if not any(d < c for d in covers)]
 
 
+def disjoint_union(g: WeightedOrientedGraph, h: WeightedOrientedGraph):
+    """G ⊔ H, with H's vertices renamed y1..yk, and the renamed H."""
+    names = {v: f"y{i}" for i, v in enumerate(h.vertices, 1)}
+    h = WeightedOrientedGraph(
+        [names[v] for v in h.vertices],
+        [(names[t], names[u]) for t, u in h.edges],
+        {names[v]: w for v, w in h.weights.items()},
+    )
+    union = WeightedOrientedGraph(
+        g.vertices + h.vertices, g.edges + h.edges, {**g.weights, **h.weights}
+    )
+    return union, h
+
+
 def all_rows_up_to(n: int, max_degree: int) -> list[tuple[int, ...]]:
     """Every exponent row of n variables of total degree <= max_degree."""
     if n == 0:
@@ -330,6 +344,55 @@ def reference_component_ideal(g: WeightedOrientedGraph, cover) -> MonomialIdeal:
     return MonomialIdeal(
         g.vertices, [monomial(g.vertices, {v: 1 if v in l1 else weights[v]}) for v in cover]
     )
+
+
+def _irreducible_inside(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """(x_i^a_i : a_i > 0) lies inside (x_i^b_i : b_i > 0)."""
+    return all(0 < y <= x for x, y in zip(a, b) if x)
+
+
+def reference_irreducible_decomposition(g: WeightedOrientedGraph) -> set[tuple[int, ...]]:
+    """The irredundant irreducible decomposition of the edge ideal, by
+    incremental splitting (Miller and Sturmfels, *Combinatorial Commutative
+    Algebra*, ch. 5).
+
+    A component is an exponent vector a, standing for the ideal generated
+    by x_i^a_i over a_i > 0, in vertex order.  The generators
+    tail * head^w(head) are read off the raw edge list, and no cover,
+    layer or intersection is used.  Starting from the zero ideal, each
+    generator m leaves every component that contains it, and splits every
+    other component C into C + (x_i^m_i) for i in the support of m.  A
+    component kept whole contains none of the split ones, since it
+    contained no earlier component; so a split component is dropped when
+    it contains another component.  Monomial irreducible ideals are
+    strongly irreducible, so what remains is the unique irredundant
+    decomposition.  An edgeless graph has the zero ideal and, as in the
+    library, no components.
+    """
+    vs = g.vertices
+    position = {v: i for i, v in enumerate(vs)}
+    weights = g.weights
+    components = [(0,) * len(vs)]
+    for tail, head in g.edges:
+        m = {position[tail]: 1, position[head]: weights[head]}
+        kept, split = [], []
+        for c in components:
+            if any(0 < c[i] <= e for i, e in m.items()):
+                kept.append(c)
+            else:
+                split.extend(c[:i] + (e,) + c[i + 1:] for i, e in m.items())
+        split = list(dict.fromkeys(split))
+        components = kept + [
+            c
+            for c in split
+            if not any(d != c and _irreducible_inside(d, c) for d in kept + split)
+        ]
+    return set(components) if g.edges else set()
+
+
+def component_exponents(component) -> tuple[int, ...]:
+    """The exponent vector of an ``IrreducibleComponent``'s pure powers."""
+    return tuple(map(sum, zip(*component.ideal._rows)))
 
 
 def maximal_covers(components) -> list[frozenset[str]]:

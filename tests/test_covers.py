@@ -375,16 +375,53 @@ def _reference_graphs(family):
         return [random_graph(rng, n_min=0, n_max=8) for _ in range(30)]
     if family == "heavy-cycles":
         return [oriented_cycle(n, (2,) * n) for n in range(3, 9)]
+    if family == "wide":
+        # both sides of the 12-bit chunk boundary, three full chunks, the cap
+        rng = random.Random(2828)
+        return [
+            graph
+            for n in (12, 13, 18, 20)
+            for graph in (
+                random_graph(rng, n_min=n, n_max=n, edge_prob=0.25),
+                oriented_cycle(n, tuple(1 + (i % 3 == 0) for i in range(n))),
+            )
+        ]
     return [oriented_line(5, w) for w in itertools.product((1, 2, 3), repeat=5)]
 
 
-@pytest.mark.parametrize("family", ["random", "heavy-cycles", "lines"])
+def _sampled_subsets(g, count=300):
+    """Distinct random subsets, half of them covers with extra vertices.
+
+    A cover is the complement of an independent set grown greedily in a
+    random order, so most of them are not minimal and have an L3 layer.
+    """
+    rng = random.Random(len(g.vertices))
+    vs = g.vertices
+    neighbors = {v: set() for v in vs}
+    for t, h in g.edges:
+        neighbors[t].add(h)
+        neighbors[h].add(t)
+    found = set()
+    while len(found) < count:
+        if len(found) % 2:
+            found.add(frozenset(v for v in vs if rng.random() < 0.5))
+            continue
+        independent = set()
+        for v in rng.sample(vs, rng.randint(0, len(vs))):
+            if not neighbors[v] & independent:
+                independent.add(v)
+        found.add(frozenset(vs) - independent)
+    return sorted(found, key=lambda c: sorted(map(vs.index, c)))
+
+
+@pytest.mark.parametrize("family", ["random", "heavy-cycles", "lines", "wide"])
 def test_mask_tests_match_set_reference(family):
     for g in _reference_graphs(family):
         # the same graph built again, with a mask table of its own
         twin = WeightedOrientedGraph(g.vertices, g.edges, g.weights)
         previous = None
-        for c in _vertex_subsets(g):
+        subsets = _sampled_subsets(g) if family == "wide" else _vertex_subsets(g)
+        for c in subsets:
             covered = reference_is_vertex_cover(g, c)
             assert is_vertex_cover(g, c) == covered
             assert is_strong_cover(g, c) == reference_is_strong_cover(g, c)
@@ -437,10 +474,18 @@ def test_mask_table_names_every_chunk(n, shape):
     full = (1 << n) - 1
     rng = random.Random(n)
     probes = [0, full, *(1 << k for k in range(n)), *(rng.getrandbits(n) for _ in range(50))]
+    earlier = []
     for mask in probes:
         names = masks.names(mask)
         assert names == _names_of(g, mask)
+        # the set names() built last answers by identity; copies and other
+        # collections are read name by name
         assert masks.mask(names) == mask
+        assert masks.mask(set(names)) == mask
+        assert masks.mask(list(names)) == mask
+        earlier.append((names, mask))
+    # a set built before the last one is read name by name, and still right
+    assert all(masks.mask(names) == mask for names, mask in earlier)
     assert masks.names(full) == frozenset(g.vertices)
     assert is_vertex_cover(g, g.vertices)
     assert cover_partition(g, g.vertices).to_json()["cover"] == list(g.vertices)

@@ -26,7 +26,14 @@ from oriented_ideals import (
 
 from oriented_ideals import monomials
 
-from conftest import assert_irredundant, gens, reference_component_ideal, small_graphs
+from conftest import (
+    assert_irredundant,
+    component_exponents,
+    gens,
+    reference_component_ideal,
+    reference_irreducible_decomposition,
+    small_graphs,
+)
 
 
 LINE3 = oriented_line(3, (1, 2, 2))
@@ -169,6 +176,47 @@ def test_decomposition_is_irredundant_on_acceptance_sample(sample_200):
 @pytest.mark.parametrize("n", range(3, 11))
 def test_cycle_decomposition_is_irredundant(n):
     assert_irredundant(irreducible_decomposition(oriented_cycle(n, (2,) * n)))
+
+
+def assert_matches_splitting_oracle(g):
+    """The components are exactly the splitting oracle's, one per vector."""
+    comps = irreducible_decomposition(g)
+    vectors = [component_exponents(c) for c in comps]
+    assert len(set(vectors)) == len(vectors)
+    assert set(vectors) == reference_irreducible_decomposition(g)
+
+
+def test_decomposition_matches_splitting_oracle_on_acceptance_sample(sample_200):
+    for g in sample_200:
+        assert_matches_splitting_oracle(g)
+
+
+# all-heavy and mixed cycles, lines with and without an interior drop
+@pytest.mark.parametrize("n", range(2, 11))
+def test_decomposition_matches_splitting_oracle_on_cycles_and_lines(n):
+    graphs = [
+        oriented_line(n, tuple(1 + i % 2 for i in range(n))),
+        oriented_line(n, (1,) * (n // 2) + (2,) * (n - n // 2)),
+    ]
+    if n >= 3:
+        graphs += [
+            oriented_cycle(n, (2,) * n),
+            oriented_cycle(n, tuple(1 + (i % 3 == 0) for i in range(n))),
+        ]
+    for g in graphs:
+        assert_matches_splitting_oracle(g)
+
+
+@given(small_graphs(7))
+@settings(max_examples=60, deadline=None)
+def test_decomposition_matches_splitting_oracle(g):
+    assert_matches_splitting_oracle(g)
+
+
+def test_splitting_oracle_line3():
+    # (x1 x2^2, x2 x3^2) = (x2) ∩ (x1, x3^2) ∩ (x2^2, x3^2)
+    assert reference_irreducible_decomposition(LINE3) == {(0, 1, 0), (1, 0, 2), (0, 2, 2)}
+    assert reference_irreducible_decomposition(oriented_line(1, (1,))) == set()
 
 
 def test_irredundancy_check_catches_a_redundant_component():

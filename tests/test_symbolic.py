@@ -31,6 +31,7 @@ from conftest import (
     all_rows_up_to,
     brute_force_member,
     component_q_sub_p,
+    disjoint_union,
     gens,
     maximal_covers,
     monomial,
@@ -362,20 +363,6 @@ def test_unit_weight_cycles_past_the_cube(n, first):
 #     (I + J)^(s) = sum over i = 0..s of I^(i) * J^(s-i),  with I^(0) = (1)
 # (Hà-Nguyen-Trung-Trung, 2020).  Both symbolic routes must obey it on
 # G ⊔ H; the check adds ideals packed at different widths and multiplies them.
-
-
-def disjoint_union(g: WeightedOrientedGraph, h: WeightedOrientedGraph):
-    """G ⊔ H, with H's vertices renamed y1..yk, and the renamed H."""
-    names = {v: f"y{i}" for i, v in enumerate(h.vertices, 1)}
-    h = WeightedOrientedGraph(
-        [names[v] for v in h.vertices],
-        [(names[t], names[u]) for t, u in h.edges],
-        {names[v]: w for v, w in h.weights.items()},
-    )
-    union = WeightedOrientedGraph(
-        g.vertices + h.vertices, g.edges + h.edges, {**g.weights, **h.weights}
-    )
-    return union, h
 
 
 def binomial_expansion(power, g, h, union, s) -> MonomialIdeal:

@@ -34,6 +34,7 @@ from oriented_ideals import (
 from conftest import (
     RIG_SEED,
     RIG_TRIALS,
+    disjoint_union,
     reference_cubic_witness,
     reference_random_regression,
     rig_failures,
@@ -213,6 +214,41 @@ def test_broom_check_on_every_small_rooted_tree():
     assert (statuses.count("pass"), statuses.count("skip")) == (140, 64)
 
 
+def test_powers_agree_on_forests_of_brooms():
+    # I(G ⊔ H)^(s) is the binomial sum of the parts' symbolic powers, so
+    # the tree theorem on each broom carries over to their disjoint union
+    standard = []
+    for w_y, w_z in itertools.product((1, 2, 3), repeat=2):
+        for tree, _ in cli._standard_brooms(w_z):
+            try:
+                standard.append(forest_broom(w_y, w_z, tree, "z"))
+            except ValueError:
+                continue  # outside the broom family's weight hypotheses
+    from_levels = []
+    for n in range(1, 5):
+        for levels, leaf_weight in itertools.product(level_sequences(n), (1, 2)):
+            w_z = 2 + len(from_levels) % 2
+            from_levels.append(forest_broom(2, w_z, tree_of_levels(levels, leaf_weight), "z"))
+    lone = standard[0]
+    assert (len(standard), len(from_levels), len(lone.vertices)) == (14, 16, 3)
+    forests = [
+        disjoint_union(g, h)[0]
+        for g, h in itertools.chain(
+            zip(standard, standard[1:] + standard[:1]),
+            zip(from_levels, itertools.repeat(lone)),
+        )
+    ]
+    unequal = [
+        (g.to_json(), r.first_inequality)
+        for g in forests
+        if not (r := compare_powers(g, 3)).all_equal
+    ]
+    assert not unequal, unequal
+    # beside a line with an interior drop, a broom keeps the drop's witness
+    witness, _ = disjoint_union(oriented_line(5, (1, 2, 1, 1, 1)), lone)
+    assert compare_powers(witness, 3).first_inequality == 3
+
+
 def test_powers_agree_to_s5_on_every_positive_case():
     # the paper claims equality for every s on brooms and on lines without
     # an interior drop; the negative cases keep their s = 3 witness
@@ -298,6 +334,15 @@ def test_line_characterization_skips_fewer_than_two_vertices(weights):
     r = check_line_characterization(weights)
     assert r.status == "skip"
     assert r.details == {"notice": "a line needs at least two vertices"}
+
+
+@pytest.mark.parametrize(
+    "weights", [(0,), (-1,), (True,), (2.0,), (True, 1), (1, 0), (1, 2, 0, 1)]
+)
+def test_line_characterization_rejects_bad_weights(weights):
+    # a bad weight is no weighting, so a short line may not make it a skip
+    with pytest.raises(ValueError, match="weight must be an integer >= 1"):
+        check_line_characterization(weights)
 
 
 @pytest.mark.parametrize(
