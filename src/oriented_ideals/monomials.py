@@ -65,28 +65,43 @@ would hold the zero row, which divides everything, so it must take no
 part.  Every row is tested through a block; an ideal of fewer than 64
 generators is one partial block.
 
-An ideal generated by pure powers x_i^a_i, i in S, as every irreducible
-component is, is met with no index and no lcm formula.  ``_pure_powers``
-marks the ideal it builds, and no other constructor or operation does, so
-the same ideal read from strings takes the general path.  With P the sum
-of its packed powers, a row with a_i in field i for each i in S, and G the
-guard bits of the fields in S, a row r lies in the ideal exactly when
-``((r | H) - P) & G`` is not zero: some field of r reaches its power.  A
-row r outside it meets x_i^a_i in r with field i raised to a_i, one row
-per i in S, and those raised rows generate the rest of the intersection; a
-power that lies in the other ideal shows up among them.  A generator of the
-other ideal that lies in the pure one is a generator of the intersection
-as it is, since anything in the intersection that divides it lies in the
-other ideal too.  So only the raised rows are minimalized, against these
-direct rows and the raised rows of smaller degree, and the two lists are
-merged into canonical order.
+The general intersection pairs the generators that neither side
+contains, and forms their lcms a block at a time: the other list is packed
+64 rows per block int as above, with slots rounded up to whole 64-bit
+words, so one subtraction from ``(x * ones) | guards`` marks, in every slot,
+the fields where x_i >= y_i, and the lcms of x with all 64 rows come out of
+one int, read back as words.  A block never grows past 64 rows, so a long
+list is never cut out of one huge int.
+
+A power B^k of an ideal B generated by pure powers x_i^a_i, i in S, is met
+with no index and no lcm formula; every irreducible component is such a B.
+An ideal carries k when it is known to be B^k: ``_pure_powers`` and a
+``saturate`` whose generators are all powers of single variables mark
+their result as B^1, and the product of B^j and B^l marks B^(j+l) when both
+have the same B.  Nothing else marks, so the same ideal read from strings
+takes the general path.  With P the sum of B's packed powers, a row with
+a_i in field i for each i in S, and G the guard bits of the fields in S,
+``((r | H) - t*P) & G`` marks the fields where r_i >= t * a_i.  Summing the
+bit counts of these marks over t = 1..k counts floor(r_i / a_i) summed
+over S, which reaches k exactly when r lies in B^k.  A row that reaches k
+is a generator of the intersection as it is, since anything in the
+intersection that divides it lies in the other ideal too.  A row short by
+d meets B^k in the rows that raise field i of r to a_i * (floor(r_i / a_i)
++ e_i) wherever e_i > 0, one row per composition e of d over S; for k = 1
+that is field i raised to a_i, one row per i in S.  The raised rows
+generate the rest of the intersection, so only they are minimalized,
+against the direct rows and the raised rows of smaller degree, and the two
+lists are merged into canonical order.  Two distinct products of k powers
+of distinct variables never divide each other, so B^(j+l) is the sorted set
+of sums, with no minimalization.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import chain
-from operator import lshift
+from itertools import chain, repeat
+from operator import lshift, or_
+from sys import byteorder
 
 
 def _check_name(name: object, kind: str) -> None:
@@ -206,7 +221,73 @@ class _Layout:
         return kept
 
 
-BLOCK = 64  # rows per block int in a _Divisors index
+BLOCK = 64  # rows per block int in a _Divisors index and in _lcms
+
+
+def _lcms(layout: _Layout, xs: Sequence[int], ys: Sequence[int]) -> set[int]:
+    """The lcm of every row of xs with every row of ys, packed by layout.
+
+    The longer list is cut into runs of BLOCK rows, each packed into one
+    block int with one slot per row as in _Divisors, but with the slot of
+    ``layout.bits + 1`` bits rounded up to whole 64-bit words.  With
+    ``ones`` the low bit of every slot, ``x * ones`` holds a row x of the
+    other list in every slot.  Subtracting the block from it with the guard
+    bits set gives 2**vbits + x_i - y_i in every field of every slot, with
+    no borrow out of any field; its guard bits mark where x_i >= y_i, and
+    there its value bits hold x_i - y_i, which added to the block make the
+    lcm.  So the lcms of x with a whole run are assembled in one int, whose
+    bytes are then read as 64-bit words, a slot at a time.  Every int stays
+    at block size, so a long list is never cut out of one huge int.
+    """
+    if len(xs) > len(ys):
+        xs, ys = ys, xs
+    guard, vbits = layout.guard, layout.vbits
+    words = layout.bits // 64 + 1  # 64-bit words per slot
+    slot = 64 * words
+    # the place of each word of a slot in memory, least significant first
+    first, *rest = range(words) if byteorder == "little" else range(words - 1, -1, -1)
+    higher = list(zip(range(64, slot, 64), rest))
+    offsets = range(0, slot * BLOCK, slot)
+    out: set[int] = set()
+    blocks = []
+    for start in range(0, len(ys), BLOCK):
+        run = ys[start : start + BLOCK]
+        if start == 0 or len(run) < BLOCK:
+            ones = ((1 << (slot * len(run))) - 1) // ((1 << slot) - 1)
+            guards = ones * guard
+        blocks.append((sum(map(lshift, run, offsets)), ones, guards, 8 * words * len(run)))
+    for x in xs:
+        for block, ones, guards, size in blocks:
+            d = ((x * ones) | guards) - block
+            t = d & guards  # guard bits where x's field >= y's
+            lcms = block + (d & (t - (t >> vbits)))
+            data = memoryview(lcms.to_bytes(size, byteorder)).cast("Q")
+            rows = data[first::words].tolist()
+            for shift, place in higher:
+                rows = map(or_, rows, map(lshift, data[place::words].tolist(), repeat(shift)))
+            out.update(rows)
+    return out
+
+
+def _compositions(tables: list[list[tuple[int, int, int]]], d: int) -> list[tuple[int, int, int]]:
+    """tables[d], the compositions of d over the powers tables[1], built on first use.
+
+    A composition e of d, that is e_i >= 0 with sum d, is held as (the AND
+    of clear_i over e_i > 0, the sum of e_i * c_i, the last i with
+    e_i > 0), where c_i is power i packed and clear_i a mask that clears its
+    field.  tables starts as [[(-1, 0, 0)], powers], the compositions of 0
+    and 1, with (clear_i, c_i, i) for power i.  Adding power j, for each j
+    from the last index on, to each composition of d - 1 makes each
+    composition of d exactly once.
+    """
+    powers = tables[1]
+    while len(tables) <= d:
+        tables.append([
+            (mask & clear, value + c, j)
+            for mask, value, last in tables[-1]
+            for clear, c, j in powers[last:]
+        ])
+    return tables[d]
 
 
 class _Divisors:
@@ -285,11 +366,13 @@ class MonomialIdeal:
     exponent; an operation whose layout has that width reuses them.  The
     exponent tuples in ``_rows`` are worked out on first use and kept; the
     generators and the hash are built from ``_rows`` on each read.
-    ``_pure`` marks an ideal that ``_pure_powers`` built, which
-    ``intersect`` meets without an index.
+    ``_pure`` is k >= 1 on an ideal known to be ``B^k`` for some B
+    generated by powers of distinct variables, and 0 otherwise; ``_base``
+    then holds B's layout and packed powers, one object that every power of
+    B shares.  ``intersect`` meets a marked ideal without an index.
     """
 
-    __slots__ = ("_ambient", "_position", "_packed", "_layout", "_tuples", "_pure")
+    __slots__ = ("_ambient", "_position", "_packed", "_layout", "_tuples", "_pure", "_base")
 
     def __init__(
         self,
@@ -319,8 +402,8 @@ class MonomialIdeal:
         generator is packed as its one field, with no exponent row.  Powers
         of distinct variables never divide one another, so all are
         generators, sorted graded-lex by one sort, and the largest power is
-        the layout's bound.  The ideal is marked pure, which sends its
-        intersections down ``_meet_pure``.
+        the layout's bound.  The ideal is marked as its own first power,
+        which sends its intersections down ``_meet_pure``.
         """
         layout = _Layout(len(ambient), max(powers.values(), default=0))
         shifts = layout.shifts
@@ -328,7 +411,7 @@ class MonomialIdeal:
         ideal._ambient = ambient
         ideal._position = {v: i for i, v in enumerate(ambient)}
         ideal._keep(layout, layout.sort([e << shifts[i] for i, e in powers.items()]))
-        ideal._pure = True
+        ideal._mark_base()
         return ideal
 
     @classmethod
@@ -344,17 +427,21 @@ class MonomialIdeal:
         self._packed = kept  # never changed in place
         self._layout = layout
         self._tuples: tuple[tuple[int, ...], ...] | None = None
-        self._pure = False  # generated by pure powers; only _pure_powers sets it
+        self._pure = 0  # B^k for k > 0; set by _mark_base and by products
+        self._base: tuple[_Layout, list[int]] | None = None
 
-    def _minimal(
-        self, layout: _Layout, packed: set[int], known: Sequence[int] = ()
-    ) -> MonomialIdeal:
-        """The ideal over this ambient generated by the packed rows and the
-        known generators, as ``layout.minimal`` takes them."""
+    def _mark_base(self) -> None:
+        """Mark this ideal, generated by powers of distinct variables, as B^1."""
+        self._pure = 1
+        self._base = (self._layout, self._packed)
+
+    def _with(self, layout: _Layout, kept: list[int]) -> MonomialIdeal:
+        """The ideal over this ambient with the canonical rows kept, packed by
+        layout, as ``layout.minimal`` returns them."""
         ideal = MonomialIdeal.__new__(MonomialIdeal)
         ideal._ambient = self._ambient
         ideal._position = self._position
-        ideal._keep(layout, layout.minimal(packed, known))
+        ideal._keep(layout, kept)
         return ideal
 
     @property
@@ -461,7 +548,7 @@ class MonomialIdeal:
             return NotImplemented
         self._require_same_ambient(other)
         layout = self._wider(other)
-        return self._minimal(layout, {*self._pack(layout), *other._pack(layout)})
+        return self._with(layout, layout.minimal({*self._pack(layout), *other._pack(layout)}))
 
     def __mul__(self, other: MonomialIdeal) -> MonomialIdeal:
         if not isinstance(other, MonomialIdeal):
@@ -470,7 +557,16 @@ class MonomialIdeal:
         # fields must hold the sum of the bounds on each side
         layout = _Layout(len(self._ambient), self._layout.maxexp + other._layout.maxexp)
         theirs = other._pack(layout)
-        return self._minimal(layout, {x + y for x in self._pack(layout) for y in theirs})
+        sums = {x + y for x in self._pack(layout) for y in theirs}
+        base = self._base
+        if base is None or base is not other._base:
+            return self._with(layout, layout.minimal(sums))
+        # B^j * B^l = B^(j+l): two distinct products of j + l powers of
+        # distinct variables never divide each other, so all are generators
+        ideal = self._with(layout, layout.sort(sums))
+        ideal._pure = self._pure + other._pure
+        ideal._base = base
+        return ideal
 
     def __pow__(self, s: int) -> MonomialIdeal:
         """s-fold product, minimalizing after each step; s=0 gives the unit ideal."""
@@ -486,76 +582,112 @@ class MonomialIdeal:
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         """Intersection of two monomial ideals, generated by pairwise lcms.
 
-        When either side was built by ``_pure_powers`` the intersection is
-        ``_meet_pure``'s.  Otherwise a generator of one side that already
-        lies in the other side is a generator of the intersection, and every
-        lcm it takes part in is its multiple, so only the remaining
-        generators are paired.
+        The layout is the wider operand's, whichever way the rest goes.  When
+        either side is marked as a power ``B^k`` of pure powers, the
+        intersection is ``_meet_pure``'s.  Otherwise a generator of one side
+        that already lies in the other side is a generator of the
+        intersection, and every lcm it takes part in is its multiple, so only
+        the remaining generators are paired, by ``_lcms``.
         """
         self._require_same_ambient(other)
-        if other._pure:
-            return self._meet_pure(other)
-        if self._pure:
-            return other._meet_pure(self)
         layout = self._wider(other)
-        guard, vbits = layout.guard, layout.vbits
+        if other._pure:
+            return self._meet_pure(other, layout)
+        if self._pure:
+            return other._meet_pure(self, layout)
         mine = self._pack(layout)
         theirs = other._pack(layout)
         in_theirs = _Divisors(layout, theirs).divides
         in_mine = _Divisors(layout, mine).divides
-        out: set[int] = set()
+        direct: list[int] = []
         pair_mine = []
         for x in mine:
             if in_theirs(x):
-                out.add(x)
+                direct.append(x)
             else:
                 pair_mine.append(x)
         pair_theirs = []
         for y in theirs:
             if in_mine(y):
-                out.add(y)
+                direct.append(y)
             else:
                 pair_theirs.append(y)
-        for x in pair_mine:
-            xg = x | guard
-            for y in pair_theirs:
-                t = (xg - y) & guard  # guard bits where x's field >= y's
-                m = t - (t >> vbits)  # ... widened to value-bit masks
-                out.add((x & m) | (y & ~m))
-        return self._minimal(layout, out)
+        out = _lcms(layout, pair_mine, pair_theirs)
+        out.update(direct)
+        return self._with(layout, layout.minimal(out))
 
-    def _meet_pure(self, pure: MonomialIdeal) -> MonomialIdeal:
-        """Intersection with an ideal built by ``_pure_powers``, with no index.
+    def _meet_pure(self, pure: MonomialIdeal, layout: _Layout) -> MonomialIdeal:
+        """Intersection with a marked ideal ``B^k``, packed by layout, with no index.
 
-        A row lies in the pure ideal iff one of its fields reaches that
-        field's power, and a row outside it meets each power x_i^a_i in the
-        row with field i raised to a_i.  Rows inside are generators of the
-        intersection as they are; only the raised rows are minimalized.
+        B is generated by powers x_i^a_i of distinct variables, held packed
+        in ``pure._base``.  A row lies in ``B^k`` iff the sum of its
+        floor(r_i / a_i) reaches k, counted one level t = 1..k at a time by
+        the fields that reach t * a_i; a row with one field at k * a_i or
+        more needs no count, and at k = 1 that is the whole test.  Rows
+        inside are generators of the intersection as they are.  A row short
+        by d is raised, for each composition e of d, by e_i powers in each
+        field i on top of its floor(r_i / a_i) * a_i; for k = 1 that is the
+        row with field i raised to a_i, one row per power.  Only the raised
+        rows are minimalized.
         """
-        layout = self._wider(pure)
-        guard, width = layout.guard, layout.vbits + 1
-        powers = pure._pack(layout)
+        k = pure._pure
+        guard, vbits = layout.guard, layout.vbits
+        width = vbits + 1
+        base_layout, powers = pure._base
+        if base_layout.vbits != vbits:
+            # each power fills one field, f fields from the right: move it to
+            # field f of this layout
+            old = base_layout.vbits + 1
+            powers = [c >> (f := (c.bit_length() - 1) // old) * old << f * width for c in powers]
         total = sum(powers)  # every power in its own field
         # the guard bits of the fields that hold a power
-        fields = ((total | guard) - (guard >> layout.vbits)) & guard
-        # each power, with a mask that clears its field
+        fields = ((total | guard) - (guard >> vbits)) & guard
+        # each power, with a mask that clears its field and its index: the
+        # compositions of d = 1
         raise_to = [
-            (~(layout.mask << (c.bit_length() - 1) // width * width), c) for c in powers
+            (~(layout.mask << (c.bit_length() - 1) // width * width), c, j)
+            for j, c in enumerate(powers)
         ]
+        # the compositions of each deficit d, tables[d], built on first use
+        tables = [[(-1, 0, 0)], raise_to]
         direct: list[int] = []
         raised: set[int] = set()
+        top = k * total  # k powers in each field of B
         for x in self._pack(layout):
-            if ((x | guard) - total) & fields:
+            xg = x | guard
+            if (xg - top) & fields:  # one field holds all k powers; at k = 1, any
+                direct.append(x)
+                continue
+            reached = (xg - total) & fields  # the fields with r_i >= a_i
+            if not reached:
+                deepest = _compositions(tables, k)
+                raised.update([x & clear | c for clear, c, _ in deepest])
+                continue
+            count = reached.bit_count()
+            floor = 0  # floor(r_i / a_i) * a_i in each field, so far
+            for t in range(2, k + 1):
+                if count >= k:
+                    break
+                floor += total & (reached - (reached >> vbits))
+                reached = (xg - t * total) & reached
+                if not reached:
+                    break
+                count += reached.bit_count()
+            if count >= k:
                 direct.append(x)
             else:
-                raised.update([x & clear | c for clear, c in raise_to])
-        return self._minimal(layout, raised, direct)
+                rest = x - floor  # r_i mod a_i in the fields of B
+                shortfall = _compositions(tables, k - count)
+                raised.update([(rest & clear) + floor + c for clear, c, _ in shortfall])
+        # with nothing raised, the direct rows, in R's order, are canonical
+        return self._with(layout, layout.minimal(raised, direct) if raised else direct)
 
     def saturate(self, variables: Iterable[str]) -> MonomialIdeal:
         """Saturation with respect to the product of the given variables.
 
         For monomial ideals this just zeroes out the exponents of those
-        variables in every generator and minimalizes.
+        variables in every generator and minimalizes.  When every generator
+        left is a power of one variable, the result is marked as B^1.
         """
         if isinstance(variables, str):
             raise TypeError(f"variables must be names, not the string {variables!r}")
@@ -568,7 +700,16 @@ class MonomialIdeal:
         keep = sum(
             layout.mask << s for i, s in enumerate(layout.shifts) if i not in idx
         )
-        return self._minimal(layout, {x & keep for x in self._packed})
+        ideal = self._with(layout, layout.minimal({x & keep for x in self._packed}))
+        guard = layout.guard
+        low = guard >> layout.vbits
+        for x in ideal._packed:
+            # the guard bits of the nonzero fields
+            if (((x | guard) - low) & guard).bit_count() != 1:
+                break
+        else:
+            ideal._mark_base()
+        return ideal
 
     def with_ambient(self, ambient: Sequence[str]) -> MonomialIdeal:
         """The same generators viewed in a different ambient ring."""

@@ -63,7 +63,10 @@ def _localized_powers(
 
     The primes are the maximal ones among the strong covers given, sorted
     by size then position; each step multiplies every running power by its
-    Q_{⊆P} once, and only when the next exponent is asked for.
+    Q_{⊆P} once, and only when the next exponent is asked for.  A Q_{⊆P}
+    generated by powers of single variables comes out of ``saturate``
+    marked, and so do its powers, so the fold over the primes meets them
+    without pairing generators (see the monomials module).
     """
     primes = _maximal_covers(g, covers)
     base = [q_sub_p(g, p) for p in primes]

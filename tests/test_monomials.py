@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import chain
+from collections import Counter
+from functools import reduce
+from itertools import chain, combinations_with_replacement
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,7 +27,7 @@ from oriented_ideals import (
     intersect_all,
     irreducible_component,
 )
-from oriented_ideals.monomials import _check_name
+from oriented_ideals.monomials import _check_name, _compositions
 
 X4 = ("x1", "x2", "x3", "x4")
 X5 = ("x1", "x2", "x3", "x4", "x5")
@@ -714,6 +716,117 @@ def test_pure_power_meet_across_widths(row_top, power_top):
     check_pure_meet(X4, rows, powers, {1: row_top})
 
 
+# --- intersections with powers of pure-power ideals ---------------------------
+#
+# A product of two powers of one marked base B is marked as B^(j+l), and
+# _meet_pure meets B^k by counting, level by level, how many powers of B each
+# row already holds.  Every meet must give the tuple reference and the
+# general path on the same generators read from strings.
+
+
+def reference_compositions(d, m):
+    """The m-tuples of nonnegative ints that sum to d, from itertools."""
+    return sorted(
+        tuple(Counter(parts)[i] for i in range(m))
+        for parts in combinations_with_replacement(range(m), d)
+    )
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_compositions_match_itertools(m):
+    # power i is 1 in byte i, so a value spells out its composition byte by byte
+    powers = [(~(0xFF << 8 * i), 1 << 8 * i, i) for i in range(m)]
+    tables = [[(-1, 0, 0)], powers]
+    for d in (4, 0, 1, 2, 3):  # built up to 4 at once, then read
+        table = _compositions(tables, d)
+        assert table is tables[d] and len(tables) == 5
+        comps = [tuple(value.to_bytes(m, "little")) for _, value, _ in table]
+        assert sorted(comps) == reference_compositions(d, m), (d, m)
+        for (clear, _, last), e in zip(table, comps):
+            support = [i for i in range(m) if e[i]]
+            assert ~clear == sum(0xFF << 8 * i for i in support)
+            assert last == max(support, default=0)
+    # the powers themselves are the compositions of 1
+    assert tables[1] is powers
+
+
+@st.composite
+def powers_of_a_base(draw):
+    """An ambient of 1 to 5 variables, a base of powers a_i in 1..3 on a subset
+    of it (maybe empty), k in 1..4, and rows narrower or wider than B^k's bound."""
+    n = draw(st.integers(1, 5))
+    ambient = tuple(f"x{i}" for i in range(1, n + 1))
+    powers = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 3), max_size=n))
+    k = draw(st.integers(1, 4))
+    bound = k * max(powers.values(), default=1)
+    top = draw(st.sampled_from((1, max(bound - 1, 1), bound + 2, 3 * bound)))
+    rows = draw(st.one_of(
+        st.just([]),
+        st.just([(0,) * n]),
+        st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1, max_size=7),
+    ))
+    return ambient, powers, k, rows
+
+
+@settings(max_examples=90, deadline=None)
+@given(powers_of_a_base())
+def test_meet_with_a_power_of_pure_powers_matches_tuple_reference(case):
+    ambient, powers, k, rows = case
+    base = MonomialIdeal._pure_powers(ambient, powers)
+    power = base**k
+    assert power._pure == k and power._base is base._base
+    assert power._rows == reduce(reference_product, [base._rows] * k)
+    r = from_rows(ambient, rows)
+    plain = MonomialIdeal(ambient, power.generators)
+    assert not plain._pure and not r._pure
+    expected = reference_intersection(reference_minimal_rows(rows), power._rows)
+    general = r.intersect(plain)
+    assert general._rows == expected
+    for meet, (a, b) in ((r.intersect(power), (r, power)), (power.intersect(r), (power, r))):
+        assert not meet._pure
+        assert meet._rows == expected
+        assert meet == general
+        # the layout is the wider operand's, the left one on a tie
+        assert meet._layout is a._wider(b)
+        assert meet._layout is (a if a._layout.maxexp >= b._layout.maxexp else b)._layout
+        assert_bound_covers_rows(meet)
+
+
+@settings(max_examples=40, deadline=None)
+@given(powers_of_a_base(), st.integers(1, 3), st.integers(1, 3))
+def test_powers_of_one_base_multiply_to_a_marked_power(case, j, l):
+    ambient, powers, _, rows = case
+    base = MonomialIdeal._pure_powers(ambient, powers)
+    a, b = base**j, base**l
+    product = a * b
+    assert product._rows == reference_product(a._rows, b._rows)
+    assert product._pure == j + l and product._base is base._base
+    assert product == base ** (j + l)
+    assert product._layout.maxexp == a._layout.maxexp + b._layout.maxexp
+    assert_bound_covers_rows(product)
+    # the same powers built again are another base, and strings mark nothing
+    again = MonomialIdeal._pure_powers(ambient, powers)
+    plain = MonomialIdeal(ambient, base.generators)
+    r = from_rows(ambient, rows)
+    for other in (again, plain, r):
+        for x, y in ((a, other), (other, a)):
+            result = x * y
+            assert not result._pure
+            assert result._rows == reference_product(x._rows, y._rows)
+
+
+def test_saturation_marks_only_pure_powers():
+    a = MonomialIdeal(X4, ["x1*x2^2", "x2*x3^3", "x3*x4"])
+    assert a.saturate({"x1", "x3"})._pure == 1  # x2, x4
+    assert a.saturate({"x1", "x3"})._rows == ((0, 1, 0, 0), (0, 0, 0, 1))
+    assert not a.saturate({"x1"})._pure  # x2^2, x2*x3^3, x3*x4
+    assert not a.saturate(set(X4))._pure  # the unit ideal
+    assert MonomialIdeal.zero(X4).saturate({"x1"})._pure == 1
+    assert not a._pure and not a.saturate(())._pure
+    q = a.saturate({"x1", "x3"})
+    assert (q * q)._pure == 2 and (q * q)._rows == reference_product(q._rows, q._rows)
+
+
 # --- divisor search across block boundaries --------------------------------
 #
 # The divisor search packs each complete run of 64 kept rows into one block
@@ -810,6 +923,31 @@ def test_partial_last_block_of_every_size(full):
             assert a.first_generator_outside(rest) == monomial(X4, zip(X4, ra[missing])), size
             assert not rest.contains_ideal(a)
             assert not rest.contains(a.generators[missing])
+
+
+# The general intersection pairs the unpaired generators of the two sides a
+# block of 64 rows at a time.  Antichain rows in x1..x4 and a few rows that
+# all hold x5 leave every generator of both sides unpaired: no row of one side
+# divides a row of the other.  Fields of 1, 2 and 3 words of 64 bits follow
+# from the scale.
+@pytest.mark.parametrize("scale", (1, 32, 2**66), ids=("scale1", "scale32", "scale2^66"))
+@pytest.mark.parametrize("size", (63, 64, 65, 128, 129))
+def test_blocked_lcms_across_block_boundaries(size, scale):
+    rows = [row + (0,) for row in scaled(ANTICHAIN[:size], scale)]
+    few = scaled([(1, 0, 0, 0, 1), (0, 2, 0, 0, 1), (0, 0, 0, 1, 2), (0, 0, 0, 0, 3)], scale)
+    a, b = from_rows(X5, rows), from_rows(X5, few)
+    ra = reference_minimal_rows(rows)
+    assert a.num_generators == size and b.num_generators == len(few)
+    assert not any(row_divides(x, y) or row_divides(y, x) for x in ra for y in few)
+    expected = reference_intersection(ra, b._rows)
+    assert a.intersect(b)._rows == expected == b.intersect(a)._rows
+    # a row (p, q, r, 2 * (3 - p - q - r)) times x5 has none of ANTICHAIN's
+    # rows below it, whose fourth field is larger wherever the first three
+    # are not
+    lower = from_rows(X5, [row + (scale,) for row in scaled(antichain(3), scale)])
+    assert not any(row_divides(x, y) for x in ra for y in lower._rows)
+    expected = reference_intersection(ra, lower._rows)
+    assert a.intersect(lower)._rows == expected == lower.intersect(a)._rows
 
 
 # Each step below packs at a width worked out from its own operands, so a

@@ -18,6 +18,7 @@ from oriented_ideals import (
     edge_ideal,
     intersect_all,
     irreducible_decomposition,
+    maximal_strong_covers,
     oriented_cycle,
     oriented_line,
     q_sub_p,
@@ -25,7 +26,7 @@ from oriented_ideals import (
     symbolic_power,
     symbolic_power_oracle,
 )
-from oriented_ideals import ideals, symbolic
+from oriented_ideals import ideals, monomials, symbolic
 
 from conftest import (
     all_rows_up_to,
@@ -182,6 +183,44 @@ def test_compare_powers_builds_no_component_ideal(monkeypatch):
     # the patch is on the route that builds component ideals
     with pytest.raises(AssertionError, match="built a component ideal"):
         irreducible_decomposition(LINE5)[0].ideal
+
+
+def test_marked_pieces_are_met_without_pairing(sample_200, monkeypatch):
+    # q_sub_p marks Q_{⊆P} as the first power of a base exactly when every
+    # generator is a power of one variable
+    for g in sample_200:
+        for p in maximal_strong_covers(g):
+            if p:
+                q = q_sub_p(g, p)
+                single = all(sum(map(bool, row)) == 1 for row in q._rows)
+                assert q._pure == single, (g.to_json(), sorted(p))
+
+    # every intersection with a marked operand goes to _meet_pure, never to
+    # the pairwise lcms of the general path
+    marked: list[int] = []
+    meets = []
+    intersect, meet_pure, lcms = MonomialIdeal.intersect, MonomialIdeal._meet_pure, monomials._lcms
+
+    def counting_intersect(self, other):
+        marked.append(self._pure or other._pure)
+        return intersect(self, other)
+
+    def counting_meet(self, pure, layout):
+        meets.append(pure._pure)
+        return meet_pure(self, pure, layout)
+
+    def no_marked_lcms(layout, xs, ys):
+        assert not marked[-1], "a marked piece was met by pairwise lcms"
+        return lcms(layout, xs, ys)
+
+    monkeypatch.setattr(MonomialIdeal, "intersect", counting_intersect)
+    monkeypatch.setattr(MonomialIdeal, "_meet_pure", counting_meet)
+    monkeypatch.setattr(monomials, "_lcms", no_marked_lcms)
+    for g in sample_200[::4]:
+        compare_powers(g, 3)
+    assert len(meets) == len(marked) - marked.count(0)
+    # the pieces are marked as Q^s for s = 1, 2, 3
+    assert set(meets) == {1, 2, 3}
 
 
 @given(small_graphs(5), st.integers(min_value=1, max_value=3))
